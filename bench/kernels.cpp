@@ -1,9 +1,13 @@
 // Kernel microbenchmarks (google-benchmark): CPU GEMM/SpMM throughput of
 // every storage format on a hybrid-pruned ResNet-50-shaped layer, swept
 // over the kernel-layer thread count (the Arg is kernels::set_num_threads).
-// Not a paper figure — supporting evidence that the CRISP layout is also
-// kernel-friendly on CPUs (dense work scales with kept blocks x N/M), and
-// the measurement behind the "threading helps, it isn't asserted" claim.
+// Not a paper figure, and no proof that the CRISP layout is fast on CPUs:
+// in the committed BENCH_kernels.json (1 core, single thread) CRISP SpMM
+// takes 155.7 us, ahead of dense GEMM (385.5 us), masked dense GEMM
+// (219.0 us) and Blocked-ELL (574.9 us) but behind CSR (123.0 us) and
+// ELLPACK (148.3 us) — its per-slot overhead outweighs the metadata it
+// saves. Also the measurement behind the "threading helps, it isn't
+// asserted" claim.
 //
 // The *Scalar single-thread variants force the scalar dispatch tier, so
 // one JSON records the SIMD-vs-scalar speedup next to the thread sweep

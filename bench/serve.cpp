@@ -1,6 +1,6 @@
 // Serving benchmarks (google-benchmark, linked into bench_kernels so the
 // entries land in the same JSON the CI regression gate reads): sequential
-// single-sample nn::predict loops versus the batched serve::Engine on
+// single-sample CompiledModel::run loops versus the batched serve::Engine on
 // identical weights and an identical request stream, dense and packed.
 //
 // The acceptance bar for the engine: batched throughput (requests/s at
@@ -62,12 +62,13 @@ std::vector<Tensor> request_stream() {
   return reqs;
 }
 
-void run_sequential(benchmark::State& state, nn::Sequential& model) {
+void run_sequential(benchmark::State& state,
+                    const serve::CompiledModel& compiled) {
   kernels::set_num_threads(static_cast<int>(state.range(0)));
   const std::vector<Tensor> reqs = request_stream();
   for (auto _ : state) {
     for (const Tensor& r : reqs) {
-      Tensor y = nn::predict(model, r.reshaped({1, kIn}));
+      Tensor y = compiled.run(r.reshaped({1, kIn}));
       benchmark::DoNotOptimize(y.data());
     }
   }
@@ -107,8 +108,7 @@ void run_engine(benchmark::State& state,
 }
 
 void BM_ServeSequentialDense(benchmark::State& state) {
-  auto model = serve_mlp();
-  run_sequential(state, *model);
+  run_sequential(state, *serve::CompiledModel::compile(serve_mlp()));
 }
 BENCHMARK(BM_ServeSequentialDense)->Apply(serve_threads);
 
@@ -118,14 +118,13 @@ void BM_ServeEngineDense(benchmark::State& state) {
 BENCHMARK(BM_ServeEngineDense)->Apply(serve_threads);
 
 void BM_ServeSequentialPacked(benchmark::State& state) {
-  // Hooks installed by compile, so the sequential loop serves packed too —
-  // the engine entries below differ only by batching.
+  // The sequential loop runs the packed compiled model one request at a
+  // time — the engine entries below differ only by batching.
   auto model = serve_mlp();
   install_hybrid_masks(*model);
   auto artifact = std::make_shared<const deploy::PackedModel>(
       deploy::PackedModel::pack(*model, 16, 2, 4));
-  auto compiled = serve::CompiledModel::compile(model, artifact);
-  run_sequential(state, *model);
+  run_sequential(state, *serve::CompiledModel::compile(model, artifact));
 }
 BENCHMARK(BM_ServeSequentialPacked)->Apply(serve_threads);
 

@@ -25,7 +25,8 @@
 //   Tenants/fleet/gate_crc_failures         a just-written shard must scan
 //                                           with zero integrity failures
 // Everything else (delta sizes, residency split, naive-fleet comparison,
-// hit/evict counts, serve rps, shard save/load times) is informational.
+// hit/evict counts, serve rps, shard save/load times, what one compiled
+// resident costs in bytes and in cold-compile time) is informational.
 //
 // Usage:
 //   bench_tenants [--tenants N] [--engines E] [--budget-mib M]
@@ -184,15 +185,10 @@ int main(int argc, char** argv) {
             deploy::PackedModel::pack(*model, kBlock, kN, kM)));
   }();
 
-  // The per-resident accounting unit depends on the architecture, so size
-  // the budget off a probe store rather than guessing.
   tenant::StoreOptions sopts;
-  {
-    tenant::Store probe(base, factory);
-    const std::int64_t overhead = probe.compiled_overhead_bytes();
-    sopts.compiled_budget_bytes =
-        budget_mib > 0 ? budget_mib << 20 : 8 * overhead;
-  }
+  sopts.compiled_budget_bytes =
+      budget_mib > 0 ? budget_mib << 20
+                     : 8 * tenant::Store::compiled_overhead_bytes();
   auto store = std::make_shared<tenant::Store>(base, factory, sopts);
 
   // ---- register the fleet ---------------------------------------------------
@@ -205,16 +201,25 @@ int main(int argc, char** argv) {
   // ---- compile sweep: every tenant materialized at least once ---------------
   // Touches all N personalizations through the LRU cache, so the budget,
   // eviction, and aliasing machinery all run at fleet scale.
+  // Each acquire here is a cold compile, so the sweep also times them.
+  std::vector<double> compile_us;
+  compile_us.reserve(static_cast<std::size_t>(tenants));
   const Clock::time_point t_sweep0 = Clock::now();
   for (std::int64_t i = 0; i < tenants; ++i) {
+    const Clock::time_point t0 = Clock::now();
     if (store->acquire(tenant_id(i)) == nullptr) {
       std::fprintf(stderr, "tenants: acquire(%s) returned null\n",
                    tenant_id(i).c_str());
       return 1;
     }
+    compile_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
   }
   const double sweep_s =
       std::chrono::duration<double>(Clock::now() - t_sweep0).count();
+  std::sort(compile_us.begin(), compile_us.end());
+  const double cold_compile_us =
+      compile_us.empty() ? 0.0 : compile_us[compile_us.size() / 2];
 
   // ---- routed serve phase ---------------------------------------------------
   // Skewed mix: most requests hit a hot set the size of the engine pool
@@ -300,6 +305,9 @@ int main(int argc, char** argv) {
   const std::int64_t excess = store->excess_base_copies();
   const double mean_delta =
       static_cast<double>(res.deltas) / static_cast<double>(tenants);
+  const double compiled_kib_per_tenant =
+      static_cast<double>(res.compiled) / 1024.0 /
+      static_cast<double>(std::max<std::int64_t>(1, store->compiled_count()));
   const double naive_kib =
       static_cast<double>(tenants * base_bytes) / 1024.0;
   const double rps = static_cast<double>(requests) / serve_s;
@@ -314,18 +322,20 @@ int main(int argc, char** argv) {
                 static_cast<double>(base_bytes) / 1024.0);
     std::printf("deltas             %8.1f KiB total, %.0f B/tenant mean\n",
                 static_cast<double>(res.deltas) / 1024.0, mean_delta);
-    std::printf("compiled cache     %8.1f KiB (%lld resident)\n",
+    std::printf("compiled cache     %8.1f KiB (%lld resident, %.1f KiB "
+                "each)\n",
                 static_cast<double>(res.compiled) / 1024.0,
-                static_cast<long long>(store->compiled_count()));
+                static_cast<long long>(store->compiled_count()),
+                compiled_kib_per_tenant);
     std::printf("resident total     %8.1f KiB vs naive N x base %.1f KiB "
                 "(%.1fx smaller)\n",
                 static_cast<double>(res.total()) / 1024.0, naive_kib,
                 naive_kib / (static_cast<double>(res.total()) / 1024.0));
     std::printf("sweep              %lld compiles, %lld evictions, %.2f s "
-                "(%.0f compiles/s)\n",
+                "(%.0f compiles/s, median cold compile %.1f us)\n",
                 static_cast<long long>(stats.compiles),
                 static_cast<long long>(stats.evictions), sweep_s,
-                static_cast<double>(tenants) / sweep_s);
+                static_cast<double>(tenants) / sweep_s, cold_compile_us);
     std::printf("serve              %lld requests (%lld hot, %lld cold) in "
                 "%.2f s = %.0f rps, %lld failed\n",
                 static_cast<long long>(requests),
@@ -382,6 +392,9 @@ int main(int argc, char** argv) {
     json_entry(f, &first, b + "serve_rps", rps);
     json_entry(f, &first, b + "shard_save_ms", save_s * 1e3);
     json_entry(f, &first, b + "shard_load_ms", load_s * 1e3);
+    json_entry(f, &first, b + "compiled_kib_per_tenant",
+               compiled_kib_per_tenant);
+    json_entry(f, &first, b + "cold_compile_us", cold_compile_us);
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
   }

@@ -4,8 +4,9 @@
 // The cloud side prunes a universal model for the user's classes and writes
 // a single artifact (CRISP hybrid format + carried dense state). The device
 // side loads the artifact, reconstructs the network, compiles it into an
-// immutable serving artifact (serve::CompiledModel — the packed GEMM hooks
-// ride inside, no attach/detach lifecycle), and answers a request stream
+// immutable serving artifact (serve::CompiledModel — each packed layer's
+// kernel is bound at compile time, the model itself is left untouched),
+// scores it through CompiledModel::run, and answers a request stream
 // through a batched serve::Engine. Predictions never touch a dense weight
 // matrix — the software analogue of the CRISP-STC datapath. Along the way
 // the program prints the storage breakdown the hybrid format was designed
@@ -90,7 +91,9 @@ int main() {
               "format\n",
               compiled->packed_layers().size());
 
-  const float served = nn::evaluate(*device_model, user_test, 64, classes);
+  const float served = nn::evaluate(
+      [&](const Tensor& x) { return compiled->run(x); }, user_test, 64,
+      classes);
   std::printf("device: served accuracy %.1f%% (cloud-side was %.1f%%)\n",
               100 * served, 100 * acc);
   std::printf("\n%s\n", served == acc ? "bit-exact deployment round trip"

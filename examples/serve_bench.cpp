@@ -63,12 +63,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Sequential baseline: one nn::predict per request, batch size 1 forever.
-double run_sequential(nn::Sequential& model, const std::vector<Tensor>& reqs) {
+/// Sequential baseline: one CompiledModel::run per request, batch size 1
+/// forever.
+double run_sequential(const serve::CompiledModel& model,
+                      const std::vector<Tensor>& reqs) {
   const auto t0 = std::chrono::steady_clock::now();
   float sink = 0.0f;
-  for (const Tensor& r : reqs)
-    sink += nn::predict(model, r.reshaped({1, kIn}))[0];
+  for (const Tensor& r : reqs) sink += model.run(r.reshaped({1, kIn}))[0];
   const double dt = seconds_since(t0);
   (void)sink;
   return static_cast<double>(kRequests) / dt;
@@ -128,23 +129,22 @@ int main() {
   const std::vector<Tensor> reqs = request_stream();
 
   // Dense: baseline loop vs engine on the same weights.
-  auto dense_model = make_mlp();
-  const double seq_rps = run_sequential(*dense_model, reqs);
+  auto dense_compiled = serve::CompiledModel::compile(make_mlp());
+  const double seq_rps = run_sequential(*dense_compiled, reqs);
   std::printf("%-28s %9.0f req/s  (1.00x)\n", "sequential predict (dense)",
               seq_rps);
-  const EngineRun dense = run_engine(
-      serve::CompiledModel::compile(dense_model), reqs);
+  const EngineRun dense = run_engine(dense_compiled, reqs);
   print_engine("engine, batch<=16 (dense)", dense, seq_rps);
 
-  // Packed: the same comparison from the CRISP format. Compiling first
-  // installs the packed hooks, so the sequential loop also serves packed —
-  // the engine's win is batching, not a different kernel.
+  // Packed: the same comparison from the CRISP format. The sequential loop
+  // runs the same compiled model one request at a time, so it also serves
+  // packed — the engine's win is batching, not a different kernel.
   auto packed_model = make_mlp();
   install_hybrid_masks(*packed_model);
   auto artifact = std::make_shared<const deploy::PackedModel>(
       deploy::PackedModel::pack(*packed_model, 16, 2, 4));
   auto packed_compiled = serve::CompiledModel::compile(packed_model, artifact);
-  const double packed_seq_rps = run_sequential(*packed_model, reqs);
+  const double packed_seq_rps = run_sequential(*packed_compiled, reqs);
   std::printf("%-28s %9.0f req/s  (%.2fx)\n", "sequential predict (packed)",
               packed_seq_rps, packed_seq_rps / seq_rps);
   const EngineRun packed = run_engine(packed_compiled, reqs);

@@ -7,7 +7,8 @@
 // dense state (biases, BatchNorm parameters and running statistics,
 // non-prunable weights) into a single artifact that can be saved, shipped
 // to the edge device, and either decoded back into a model or executed
-// directly through the packed GEMM kernels (deploy/packed_exec.h).
+// directly through the packed GEMM kernels (serve::CompiledModel binds each
+// entry's CrispMatrix to its layer — serve/compiled_model.h).
 #pragma once
 
 #include <cstdint>

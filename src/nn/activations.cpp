@@ -4,7 +4,7 @@
 
 namespace crisp::nn {
 
-Tensor ReLU::forward_eval(const Tensor& x) const {
+Tensor ReLU::forward_eval(const Tensor& x, const KernelTable&) const {
   Tensor y = x;
   if (cap_ < 0.0f) {
     y.clamp_min_(0.0f);
@@ -16,7 +16,7 @@ Tensor ReLU::forward_eval(const Tensor& x) const {
 }
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor y = forward_eval(x);
+  Tensor y = forward_eval(x, {});
   if (train) cached_input_ = x;
   return y;
 }
@@ -42,10 +42,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 Tensor Flatten::forward(const Tensor& x, bool train) {
   if (train) cached_shape_ = x.shape();
-  return forward_eval(x);
+  return forward_eval(x, {});
 }
 
-Tensor Flatten::forward_eval(const Tensor& x) const {
+Tensor Flatten::forward_eval(const Tensor& x, const KernelTable&) const {
   CRISP_CHECK(x.dim() >= 2, "Flatten expects batch dimension first");
   return x.reshaped({x.size(0), -1});
 }

@@ -12,7 +12,7 @@ class ReLU final : public Layer {
       : Layer(std::move(name)), cap_(cap) {}
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
@@ -25,7 +25,7 @@ class Flatten final : public Layer {
  public:
   explicit Flatten(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

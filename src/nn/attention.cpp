@@ -174,7 +174,8 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, bool train) {
   return std::move(st.y);
 }
 
-Tensor MultiHeadSelfAttention::forward_eval(const Tensor& x) const {
+Tensor MultiHeadSelfAttention::forward_eval(const Tensor& x,
+                                            const KernelTable&) const {
   return run_forward(x).y;
 }
 

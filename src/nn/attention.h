@@ -20,7 +20,7 @@ class MultiHeadSelfAttention final : public Layer {
 
   /// x: (B, T, dim) -> (B, T, dim).
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
 

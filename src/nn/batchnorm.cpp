@@ -29,7 +29,7 @@ void BatchNorm2d::check_input(const Tensor& x) const {
 }
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
-  if (!train) return forward_eval(x);
+  if (!train) return forward_eval(x, {});
   check_input(x);
   const std::int64_t batch = x.size(0), hw = x.size(2) * x.size(3);
   const std::int64_t plane = channels_ * hw;
@@ -80,7 +80,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor BatchNorm2d::forward_eval(const Tensor& x) const {
+Tensor BatchNorm2d::forward_eval(const Tensor& x, const KernelTable&) const {
   check_input(x);
   const std::int64_t batch = x.size(0), hw = x.size(2) * x.size(3);
   Tensor y(x.shape());

@@ -12,7 +12,7 @@ class BatchNorm2d final : public Layer {
               float eps = 1e-5f);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<NamedBuffer> buffers() override;

@@ -5,6 +5,7 @@
 
 #include "kernels/parallel_for.h"
 #include "kernels/reduce.h"
+#include "kernels/spmm_kernel.h"
 #include "tensor/matmul.h"
 
 namespace crisp::nn {
@@ -46,7 +47,8 @@ ConvGeometry Conv2d::group_geometry(std::int64_t in_h, std::int64_t in_w) const 
   return g;
 }
 
-Tensor Conv2d::compute_forward(const Tensor& x, bool use_hook) const {
+Tensor Conv2d::compute_forward(const Tensor& x,
+                               const kernels::SpmmKernel* kernel) const {
   CRISP_CHECK(x.dim() == 4, "Conv2d expects (B,C,H,W), got "
                                 << shape_to_string(x.shape()));
   CRISP_CHECK(x.size(1) == spec_.in_channels,
@@ -58,14 +60,14 @@ Tensor Conv2d::compute_forward(const Tensor& x, bool use_hook) const {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t sg = spec_.out_channels / spec_.groups;  // out ch / group
 
-  const Tensor w_eff = use_hook ? Tensor() : weight_.effective_value();
+  const Tensor w_eff = kernel != nullptr ? Tensor() : weight_.effective_value();
   Tensor y({batch, spec_.out_channels, oh, ow});
 
   // Samples are independent, so the batch is the coarsest safe parallel
   // axis: each chunk lowers into its own im2col scratch and writes a
   // disjoint slice of y. Only worth it when the batch can occupy every
   // thread — otherwise (small-batch inference) the loop runs serially at
-  // the top level and the per-sample GEMM/hook threads over output rows
+  // the top level and the per-sample GEMM/kernel threads over output rows
   // instead. The grain keeps chunks thread-sized, so at most one scratch
   // allocation per thread rather than per sample.
   auto run_samples = [&](std::int64_t b0, std::int64_t b1) {
@@ -78,8 +80,8 @@ Tensor Conv2d::compute_forward(const Tensor& x, bool use_hook) const {
         im2col(x_grp, g, cols.data());
         MatrixView ymat(y.data() + (b * spec_.out_channels + grp * sg) * p, sg,
                         p);
-        if (use_hook) {
-          gemm_hook_(ConstMatrixView(cols.data(), k, p), ymat);
+        if (kernel != nullptr) {
+          kernel->spmm(ConstMatrixView(cols.data(), k, p), ymat);
         } else {
           ConstMatrixView wmat(w_eff.data() + grp * sg * k, sg, k);
           matmul(wmat, ConstMatrixView(cols.data(), k, p), ymat);
@@ -111,7 +113,7 @@ Tensor Conv2d::compute_forward(const Tensor& x, bool use_hook) const {
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
-  Tensor y = compute_forward(x, gemm_hook_ && !train);
+  Tensor y = compute_forward(x, nullptr);
 
   const ConvGeometry g = group_geometry(x.size(2), x.size(3));
   const std::int64_t k = g.col_rows(), p = g.col_cols();
@@ -127,8 +129,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Conv2d::forward_eval(const Tensor& x) const {
-  return compute_forward(x, static_cast<bool>(gemm_hook_));
+Tensor Conv2d::forward_eval(const Tensor& x, const KernelTable& table) const {
+  return compute_forward(x, find_kernel(table, gemm_weight()));
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
@@ -214,12 +216,6 @@ std::vector<Parameter*> Conv2d::parameters() {
   std::vector<Parameter*> ps{&weight_};
   if (spec_.bias) ps.push_back(&bias_);
   return ps;
-}
-
-bool Conv2d::set_gemm_hook(GemmHook hook) {
-  if (spec_.groups != 1) return false;
-  gemm_hook_ = std::move(hook);
-  return true;
 }
 
 }  // namespace crisp::nn

@@ -30,13 +30,15 @@ class Conv2d final : public Layer {
   Conv2d(std::string name, const Conv2dSpec& spec, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
 
-  /// Accepted only for groups == 1 (grouped/depthwise convs lower to one
-  /// GEMM per group, which the single-GEMM hook contract cannot express).
-  bool set_gemm_hook(GemmHook hook) override;
+  /// Only for groups == 1: grouped/depthwise convs lower to one GEMM per
+  /// group, which a single S x K kernel cannot express.
+  const Parameter* gemm_weight() const override {
+    return spec_.groups == 1 ? &weight_ : nullptr;
+  }
 
   const Conv2dSpec& spec() const { return spec_; }
   Parameter& weight() { return weight_; }
@@ -50,15 +52,16 @@ class Conv2d final : public Layer {
  private:
   ConvGeometry group_geometry(std::int64_t in_h, std::int64_t in_w) const;
 
-  /// The shared math of both forwards: im2col + (hooked or dense) GEMM +
-  /// bias, no caching and no MAC bookkeeping.
-  Tensor compute_forward(const Tensor& x, bool use_hook) const;
+  /// The shared math of both forwards: im2col + (packed through `kernel`,
+  /// when non-null, or dense) GEMM + bias, no caching and no MAC
+  /// bookkeeping.
+  Tensor compute_forward(const Tensor& x,
+                         const kernels::SpmmKernel* kernel) const;
 
   Conv2dSpec spec_;
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;  ///< saved by forward(train=true) for backward
-  GemmHook gemm_hook_;   ///< packed-execution override for eval forwards
 };
 
 }  // namespace crisp::nn

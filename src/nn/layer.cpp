@@ -42,8 +42,16 @@ MatrixView Parameter::grad_matrix() {
   return as_matrix(grad, matrix_rows, matrix_cols);
 }
 
-Tensor Layer::forward_eval(const Tensor& x) const {
+const kernels::SpmmKernel* find_kernel(const KernelTable& table,
+                                       const Parameter* weight) {
+  for (const KernelBinding& b : table)
+    if (b.weight == weight) return b.kernel.get();
+  return nullptr;
+}
+
+Tensor Layer::forward_eval(const Tensor& x, const KernelTable& table) const {
   (void)x;
+  (void)table;
   CRISP_CHECK(false, name() << ": forward_eval not implemented — this layer "
                                "cannot join a serve::CompiledModel");
   return Tensor();

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,16 +22,11 @@
 
 #include "tensor/tensor.h"
 
-namespace crisp::nn {
+namespace crisp::kernels {
+class SpmmKernel;
+}
 
-/// Replacement GEMM for deployment: computes y = W_eff · x where x is the
-/// layer's lowered (K x P) input and y its (S x P) output. Installed by the
-/// deploy library so eval-mode inference runs straight from a packed sparse
-/// representation; the hook owner guarantees it encodes this layer's current
-/// effective weight. Hooks may be invoked concurrently (the batch-parallel
-/// conv forward does), so they must be const-thread-safe — the SpmmKernel
-/// implementations the deploy library installs are.
-using GemmHook = std::function<void(ConstMatrixView x, MatrixView y)>;
+namespace crisp::nn {
 
 struct Parameter {
   std::string name;
@@ -67,6 +61,28 @@ struct Parameter {
   MatrixView grad_matrix();
 };
 
+/// One packed layer of an eval forward: the GEMM layer whose weight is
+/// `weight` multiplies with `kernel` (y = W_eff · x over its lowered
+/// (K x P) input) instead of its dense weight. The kernel must encode that
+/// weight's current effective value and be const-thread-safe — the
+/// batch-parallel conv forward calls it concurrently; every SpmmKernel in
+/// this library is.
+struct KernelBinding {
+  const Parameter* weight = nullptr;
+  std::shared_ptr<const kernels::SpmmKernel> kernel;
+};
+
+/// The packed-execution binding forward_eval runs under: resolved once
+/// (serve::CompiledModel::compile) and read-only afterwards, so one model
+/// can serve any number of tables — dense, fp32, int8, one per tenant — at
+/// the same time. An empty table is the dense eval forward.
+using KernelTable = std::vector<KernelBinding>;
+
+/// The kernel bound to `weight`, or nullptr (dense) — a pointer compare per
+/// binding, no name lookup and no allocation.
+const kernels::SpmmKernel* find_kernel(const KernelTable& table,
+                                       const Parameter* weight);
+
 /// Named non-trainable state (BatchNorm running statistics).
 struct NamedBuffer {
   std::string name;
@@ -87,11 +103,13 @@ class Layer {
   /// Side-effect-free eval forward: computes exactly what
   /// forward(x, /*train=*/false) computes, but touches no activation
   /// caches, records no MAC counters, and updates no statistics — so a
-  /// model frozen for serving can run it concurrently from many threads
-  /// (installed GemmHooks are const-thread-safe by contract). The serving
-  /// layer (serve::CompiledModel) is built on this path. The base
-  /// implementation throws; every layer in this library overrides it.
-  virtual Tensor forward_eval(const Tensor& x) const;
+  /// model frozen for serving can run it concurrently from many threads.
+  /// GEMM layers whose weight is bound in `table` multiply through the
+  /// bound kernel instead of the dense weight; containers pass the table
+  /// down unchanged. The serving layer (serve::CompiledModel) is built on
+  /// this path. The base implementation throws; every layer in this
+  /// library overrides it.
+  virtual Tensor forward_eval(const Tensor& x, const KernelTable& table) const;
 
   /// Consumes d(loss)/d(output), accumulates parameter gradients, and
   /// returns d(loss)/d(input). Must be called after a forward with
@@ -112,14 +130,12 @@ class Layer {
   /// whole-model walks (per-layer FLOPs, sparsity census) without RTTI.
   virtual std::vector<Layer*> children() { return {}; }
 
-  /// Installs (or, with nullptr, removes) a packed-execution GEMM hook.
-  /// Only layers that lower to a single GEMM accept one — Conv2d with
-  /// groups == 1 and Linear override this; the default refuses. Training
-  /// forwards always ignore the hook (STE needs the dense weights).
-  virtual bool set_gemm_hook(GemmHook hook) {
-    (void)hook;
-    return false;
-  }
+  /// The weight of a layer whose eval forward lowers to a single GEMM —
+  /// the only layers a KernelTable can bind (Linear, and Conv2d with
+  /// groups == 1). nullptr for everything else, so grouped convs stay on
+  /// their dense weights. Training forwards never consult a kernel (STE
+  /// needs the dense weights).
+  virtual const Parameter* gemm_weight() const { return nullptr; }
 
   const std::string& name() const { return name_; }
 

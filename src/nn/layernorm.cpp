@@ -63,7 +63,7 @@ Tensor LayerNorm::forward(const Tensor& x, bool train) {
   return compute_forward(x, &cached_xhat_, &cached_inv_std_);
 }
 
-Tensor LayerNorm::forward_eval(const Tensor& x) const {
+Tensor LayerNorm::forward_eval(const Tensor& x, const KernelTable&) const {
   return compute_forward(x, nullptr, nullptr);
 }
 
@@ -119,7 +119,7 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor Gelu::forward_eval(const Tensor& x) const {
+Tensor Gelu::forward_eval(const Tensor& x, const KernelTable&) const {
   Tensor y(x.shape());
   constexpr float c = 0.7978845608f;  // sqrt(2/pi)
   kernels::parallel_for(
@@ -136,7 +136,7 @@ Tensor Gelu::forward_eval(const Tensor& x) const {
 }
 
 Tensor Gelu::forward(const Tensor& x, bool train) {
-  Tensor y = forward_eval(x);
+  Tensor y = forward_eval(x, {});
   if (train) cached_input_ = x;
   return y;
 }

@@ -13,7 +13,7 @@ class LayerNorm final : public Layer {
   LayerNorm(std::string name, std::int64_t features, float eps = 1e-5f);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
 
@@ -37,7 +37,7 @@ class Gelu final : public Layer {
  public:
   explicit Gelu(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

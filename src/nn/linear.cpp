@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "kernels/parallel_for.h"
+#include "kernels/spmm_kernel.h"
 #include "tensor/matmul.h"
 
 namespace crisp::nn {
@@ -27,15 +28,16 @@ Linear::Linear(std::string name, std::int64_t in_features,
   }
 }
 
-Tensor Linear::compute_forward(const Tensor& x, bool use_hook) const {
+Tensor Linear::compute_forward(const Tensor& x,
+                               const kernels::SpmmKernel* kernel) const {
   CRISP_CHECK(x.dim() == 2 && x.size(1) == in_features_,
               name() << ": expected (B," << in_features_ << "), got "
                      << shape_to_string(x.shape()));
   const std::int64_t batch = x.size(0);
 
   Tensor y({batch, out_features_});
-  if (use_hook) {
-    // Hook contract is column-major activations: y' = W · x' with
+  if (kernel != nullptr) {
+    // The kernel contract is column-major activations: y' = W · x' with
     // x' = (in x B). Transpose in, run the packed GEMM, transpose out;
     // both transposes are row-partitioned over their output like every
     // other kernel (disjoint writes, so thread-count independent). The
@@ -51,8 +53,8 @@ Tensor Linear::compute_forward(const Tensor& x, bool use_hook) const {
         },
         kernels::rows_grain(batch));
     Tensor yt({out_features_, batch});
-    gemm_hook_(ConstMatrixView(xt.data(), in_features_, batch),
-               MatrixView(yt.data(), out_features_, batch));
+    kernel->spmm(ConstMatrixView(xt.data(), in_features_, batch),
+                 MatrixView(yt.data(), out_features_, batch));
     kernels::parallel_for(
         batch,
         [&](std::int64_t b0, std::int64_t b1) {
@@ -82,7 +84,7 @@ Tensor Linear::compute_forward(const Tensor& x, bool use_hook) const {
 }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
-  Tensor y = compute_forward(x, gemm_hook_ && !train);
+  Tensor y = compute_forward(x, nullptr);
 
   const std::int64_t nnz =
       weight_.has_mask() ? weight_.mask.count_nonzero() : weight_.value.numel();
@@ -92,8 +94,8 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Linear::forward_eval(const Tensor& x) const {
-  return compute_forward(x, static_cast<bool>(gemm_hook_));
+Tensor Linear::forward_eval(const Tensor& x, const KernelTable& table) const {
+  return compute_forward(x, find_kernel(table, gemm_weight()));
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -142,11 +144,6 @@ std::vector<Parameter*> Linear::parameters() {
   std::vector<Parameter*> ps{&weight_};
   if (has_bias_) ps.push_back(&bias_);
   return ps;
-}
-
-bool Linear::set_gemm_hook(GemmHook hook) {
-  gemm_hook_ = std::move(hook);
-  return true;
 }
 
 }  // namespace crisp::nn

@@ -15,19 +15,20 @@ class Linear final : public Layer {
          Rng& rng, bool bias = true, bool prunable = true);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
-  bool set_gemm_hook(GemmHook hook) override;
+  const Parameter* gemm_weight() const override { return &weight_; }
 
   Parameter& weight() { return weight_; }
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
 
  private:
-  /// The shared math of both forwards: hooked (packed) or dense GEMM plus
-  /// bias, no caching and no MAC bookkeeping.
-  Tensor compute_forward(const Tensor& x, bool use_hook) const;
+  /// The shared math of both forwards: packed (through `kernel`, when
+  /// non-null) or dense GEMM plus bias, no caching and no MAC bookkeeping.
+  Tensor compute_forward(const Tensor& x,
+                         const kernels::SpmmKernel* kernel) const;
 
   std::int64_t in_features_;
   std::int64_t out_features_;
@@ -35,7 +36,6 @@ class Linear final : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  GemmHook gemm_hook_;  ///< packed-execution override for eval forwards
 };
 
 }  // namespace crisp::nn

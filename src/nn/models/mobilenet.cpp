@@ -57,8 +57,9 @@ Tensor InvertedResidual::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor InvertedResidual::forward_eval(const Tensor& x) const {
-  Tensor y = main_.forward_eval(x);
+Tensor InvertedResidual::forward_eval(const Tensor& x,
+                                      const KernelTable& table) const {
+  Tensor y = main_.forward_eval(x, table);
   if (use_residual_) y.add_(x);
   return y;
 }

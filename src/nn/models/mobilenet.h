@@ -17,7 +17,7 @@ class InvertedResidual final : public Layer {
                    std::int64_t expand_ratio, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return main_.parameters(); }
   std::vector<NamedBuffer> buffers() override { return main_.buffers(); }

@@ -81,10 +81,11 @@ Tensor Bottleneck::forward(const Tensor& x, bool train) {
   return relu_out_.forward(main_out, train);
 }
 
-Tensor Bottleneck::forward_eval(const Tensor& x) const {
-  Tensor main_out = main_.forward_eval(x);
-  main_out.add_(has_projection_ ? projection_.forward_eval(x) : x);
-  return relu_out_.forward_eval(main_out);
+Tensor Bottleneck::forward_eval(const Tensor& x,
+                                const KernelTable& table) const {
+  Tensor main_out = main_.forward_eval(x, table);
+  main_out.add_(has_projection_ ? projection_.forward_eval(x, table) : x);
+  return relu_out_.forward_eval(main_out, table);
 }
 
 Tensor Bottleneck::backward(const Tensor& grad_out) {

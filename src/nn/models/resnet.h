@@ -15,7 +15,7 @@ class Bottleneck final : public Layer {
              std::int64_t stride, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<NamedBuffer> buffers() override;

@@ -5,7 +5,7 @@
 
 namespace crisp::nn {
 
-Tensor ToTokens::forward_eval(const Tensor& x) const {
+Tensor ToTokens::forward_eval(const Tensor& x, const KernelTable&) const {
   CRISP_CHECK(x.dim() == 4, name() << " expects (B, D, H, W)");
   const std::int64_t batch = x.size(0), dim = x.size(1),
                      tokens = x.size(2) * x.size(3);
@@ -26,7 +26,7 @@ Tensor ToTokens::forward_eval(const Tensor& x) const {
 }
 
 Tensor ToTokens::forward(const Tensor& x, bool train) {
-  Tensor y = forward_eval(x);
+  Tensor y = forward_eval(x, {});
   if (train) cached_in_shape_ = x.shape();
   return y;
 }
@@ -58,7 +58,8 @@ PositionalEmbedding::PositionalEmbedding(std::string name, std::int64_t tokens,
   table_.grad = Tensor::zeros({tokens, dim});
 }
 
-Tensor PositionalEmbedding::forward_eval(const Tensor& x) const {
+Tensor PositionalEmbedding::forward_eval(const Tensor& x,
+                                         const KernelTable&) const {
   CRISP_CHECK(x.dim() == 3 && x.size(1) == tokens_ && x.size(2) == dim_,
               name() << ": expected (B, " << tokens_ << ", " << dim_ << ")");
   Tensor y = x;
@@ -75,7 +76,7 @@ Tensor PositionalEmbedding::forward_eval(const Tensor& x) const {
 }
 
 Tensor PositionalEmbedding::forward(const Tensor& x, bool /*train*/) {
-  return forward_eval(x);
+  return forward_eval(x, {});
 }
 
 Tensor PositionalEmbedding::backward(const Tensor& grad_out) {
@@ -96,7 +97,7 @@ Tensor PositionalEmbedding::backward(const Tensor& grad_out) {
   return grad_out;
 }
 
-Tensor TokenMeanPool::forward_eval(const Tensor& x) const {
+Tensor TokenMeanPool::forward_eval(const Tensor& x, const KernelTable&) const {
   CRISP_CHECK(x.dim() == 3, name() << " expects (B, T, D)");
   const std::int64_t batch = x.size(0), tokens = x.size(1), dim = x.size(2);
   Tensor y({batch, dim});
@@ -115,7 +116,7 @@ Tensor TokenMeanPool::forward_eval(const Tensor& x) const {
 }
 
 Tensor TokenMeanPool::forward(const Tensor& x, bool train) {
-  Tensor y = forward_eval(x);
+  Tensor y = forward_eval(x, {});
   if (train) cached_in_shape_ = x.shape();
   return y;
 }
@@ -167,14 +168,15 @@ Tensor TransformerBlock::forward(const Tensor& x, bool train) {
   return z;
 }
 
-Tensor TransformerBlock::forward_eval(const Tensor& x) const {
+Tensor TransformerBlock::forward_eval(const Tensor& x,
+                                      const KernelTable& table) const {
   // Same dataflow as forward(train=false), on the cache-free const path.
-  Tensor y = attn_.forward_eval(ln1_.forward_eval(x));
+  Tensor y = attn_.forward_eval(ln1_.forward_eval(x, table), table);
   y.add_(x);
   const std::int64_t batch = y.size(0), tokens = y.size(1), dim = y.size(2);
-  Tensor h = ln2_.forward_eval(y);
+  Tensor h = ln2_.forward_eval(y, table);
   h.reshape_inplace({batch * tokens, dim});
-  Tensor z = mlp_.forward_eval(h);
+  Tensor z = mlp_.forward_eval(h, table);
   z.reshape_inplace({batch, tokens, dim});
   z.add_(y);
   return z;

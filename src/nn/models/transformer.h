@@ -19,7 +19,7 @@ class ToTokens final : public Layer {
  public:
   explicit ToTokens(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
@@ -32,7 +32,7 @@ class PositionalEmbedding final : public Layer {
   PositionalEmbedding(std::string name, std::int64_t tokens, std::int64_t dim,
                       Rng& rng);
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&table_}; }
 
@@ -47,7 +47,7 @@ class TokenMeanPool final : public Layer {
  public:
   explicit TokenMeanPool(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
@@ -61,7 +61,7 @@ class TransformerBlock final : public Layer {
                    std::int64_t mlp_ratio, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Layer*> children() override;

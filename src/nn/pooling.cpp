@@ -63,7 +63,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor MaxPool2d::forward_eval(const Tensor& x) const {
+Tensor MaxPool2d::forward_eval(const Tensor& x, const KernelTable&) const {
   return compute_forward(x, nullptr);
 }
 
@@ -119,7 +119,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor GlobalAvgPool::forward_eval(const Tensor& x) const {
+Tensor GlobalAvgPool::forward_eval(const Tensor& x, const KernelTable&) const {
   return global_avg_pool(x, name());
 }
 

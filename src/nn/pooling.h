@@ -11,7 +11,7 @@ class MaxPool2d final : public Layer {
       : Layer(std::move(name)), kernel_(kernel), stride_(stride) {}
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
@@ -32,7 +32,7 @@ class GlobalAvgPool final : public Layer {
  public:
   explicit GlobalAvgPool(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor forward_eval(const Tensor& x) const override;
+  Tensor forward_eval(const Tensor& x, const KernelTable& table) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:

@@ -14,9 +14,10 @@ Tensor Sequential::forward(const Tensor& x, bool train) {
   return h;
 }
 
-Tensor Sequential::forward_eval(const Tensor& x) const {
+Tensor Sequential::forward_eval(const Tensor& x,
+                                const KernelTable& table) const {
   Tensor h = x;
-  for (const auto& l : layers_) h = l->forward_eval(h);
+  for (const auto& l : layers_) h = l->forward_eval(h, table);
   return h;
 }
 

@@ -51,12 +51,20 @@ std::vector<EpochStats> train(Sequential& model, const data::Dataset& dataset,
 float evaluate(Sequential& model, const data::Dataset& dataset,
                std::int64_t batch_size,
                const std::vector<std::int64_t>& restrict_classes) {
+  return evaluate(
+      [&model](const Tensor& x) { return model.forward(x, /*train=*/false); },
+      dataset, batch_size, restrict_classes);
+}
+
+float evaluate(const std::function<Tensor(const Tensor&)>& forward,
+               const data::Dataset& dataset, std::int64_t batch_size,
+               const std::vector<std::int64_t>& restrict_classes) {
   if (dataset.size() == 0) return 0.0f;
   Rng rng(0);  // unused: shuffle disabled
   std::int64_t correct = 0;
   for (const auto& batch :
        data::make_batches(dataset, batch_size, rng, /*shuffle=*/false)) {
-    Tensor logits = model.forward(batch.images, /*train=*/false);
+    Tensor logits = forward(batch.images);
     const std::int64_t classes = logits.size(1);
     for (std::int64_t b = 0; b < batch.size(); ++b) {
       const float* row = logits.data() + b * classes;

@@ -34,6 +34,12 @@ float evaluate(Sequential& model, const data::Dataset& dataset,
                std::int64_t batch_size = 64,
                const std::vector<std::int64_t>& restrict_classes = {});
 
+/// The same metric over any eval forward that maps a batch of images to
+/// logits — e.g. a packed serve::CompiledModel's run().
+float evaluate(const std::function<Tensor(const Tensor&)>& forward,
+               const data::Dataset& dataset, std::int64_t batch_size = 64,
+               const std::vector<std::int64_t>& restrict_classes = {});
+
 /// Mean cross-entropy over the dataset (eval mode).
 float evaluate_loss(Sequential& model, const data::Dataset& dataset,
                     std::int64_t batch_size = 64);

@@ -30,7 +30,7 @@ OverlayMatrix::OverlayMatrix(std::shared_ptr<const BaseArtifact> base,
   edelta_ = delta_->find(name);
   CRISP_CHECK(edelta_ != nullptr,
               "OverlayMatrix: delta has no entry " << name
-                  << " — hook the base matrix directly instead");
+                  << " — serve the base matrix directly instead");
 }
 
 std::int64_t OverlayMatrix::rows() const { return entry_->matrix.rows(); }
@@ -164,31 +164,24 @@ void OverlayMatrix::spmm_int8(ConstMatrixView x, MatrixView y) const {
   }, grain);
 }
 
-OverlayCompile compile_overlay(std::shared_ptr<nn::Sequential> model,
+OverlayCompile compile_overlay(const serve::CompiledModel& base_model,
                                std::shared_ptr<const BaseArtifact> base,
                                std::shared_ptr<const MaskDelta> delta) {
-  CRISP_CHECK(model != nullptr, "compile_overlay: null model");
   CRISP_CHECK(base != nullptr && delta != nullptr,
               "compile_overlay: null base or delta");
+  CRISP_CHECK(base_model.packed() == &base->packed(),
+              "compile_overlay: base_model was not compiled from this base");
   delta->validate(*base);
 
   OverlayCompile out;
-  std::vector<deploy::NamedKernel> kernels;
-  kernels.reserve(base->packed().entries().size());
+  std::map<std::string, std::shared_ptr<const kernels::SpmmKernel>> kernels;
   for (const deploy::PackedEntry& e : base->packed().entries()) {
-    if (delta->find(e.name) != nullptr) {
-      auto overlay = std::make_shared<const OverlayMatrix>(base, delta, e.name);
-      out.overlays.push_back(overlay);
-      kernels.push_back({e.name, overlay});
-    } else {
-      // No delta for this entry: the base matrix serves it, aliased out of
-      // the shared artifact like any install_packed_hooks() compile.
-      kernels.push_back({e.name, std::shared_ptr<const kernels::SpmmKernel>(
-                                     base->packed_ptr(), &e.matrix)});
-    }
+    if (delta->find(e.name) == nullptr) continue;
+    auto overlay = std::make_shared<const OverlayMatrix>(base, delta, e.name);
+    out.overlays.push_back(overlay);
+    kernels.emplace(e.name, overlay);
   }
-  out.model =
-      serve::CompiledModel::compile_with_kernels(std::move(model), kernels);
+  out.model = base_model.substitute(kernels);
   return out;
 }
 

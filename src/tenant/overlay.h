@@ -69,14 +69,14 @@ struct OverlayCompile {
   std::vector<std::shared_ptr<const OverlayMatrix>> overlays;
 };
 
-/// Freezes `model` for serving tenant `delta` against `base`: every packed
-/// entry with a delta entry is hooked through an OverlayMatrix, every
-/// other packed entry through the base's CrispMatrix (aliased, not
-/// copied). `model` must already hold the base's unpacked dense state
-/// (tenant::Store feeds it from one shared template); layers that refuse
-/// hooks (grouped convs) fall back to that dense state, exactly as
-/// CompiledModel::compile does.
-OverlayCompile compile_overlay(std::shared_ptr<nn::Sequential> model,
+/// Compiles tenant `delta` against `base`: `base_model` — the base's own
+/// CompiledModel, compiled from base->packed_ptr() (tenant::Store builds
+/// it once) — with every packed entry that has a delta entry served
+/// through an OverlayMatrix instead of the base's CrispMatrix. Everything
+/// else is base_model's and shared by pointer, not copied: the model and
+/// its dense state, the kernels of the entries the delta leaves alone, and
+/// the dense fallback of grouped convs.
+OverlayCompile compile_overlay(const serve::CompiledModel& base_model,
                                std::shared_ptr<const BaseArtifact> base,
                                std::shared_ptr<const MaskDelta> delta);
 

@@ -130,8 +130,8 @@ void Router::compiler_main() {
     if (eit != engines_.end()) engine = eit->second.engine;
     lk.unlock();
 
-    // Build the engine outside the lock — this is the slow part (model
-    // clone + overlay compile via Store::acquire), and hot routing must
+    // Build the engine outside the lock — this is the slow part (delta
+    // validation + overlay compile via Store::acquire), and hot routing must
     // not stall behind it. Any exception out of the delta apply / overlay
     // compile (corrupt stream, allocation failure, an injected fault) is
     // contained here: one bounded-backoff retry, then quarantine + the

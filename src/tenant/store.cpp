@@ -9,20 +9,19 @@ namespace crisp::tenant {
 
 Store::Store(std::shared_ptr<const BaseArtifact> base, ModelFactory factory,
              StoreOptions options)
-    : base_(std::move(base)), factory_(std::move(factory)), options_(options) {
+    : base_(std::move(base)), options_(options) {
   CRISP_CHECK(base_ != nullptr, "tenant::Store: null base artifact");
-  CRISP_CHECK(factory_ != nullptr, "tenant::Store: null model factory");
+  CRISP_CHECK(factory != nullptr, "tenant::Store: null model factory");
   CRISP_CHECK(options_.compiled_budget_bytes >= 0,
               "tenant::Store: negative compiled budget");
-  // One unpack for the whole fleet: every compiled tenant loads this dense
-  // template (decoded effective base weights + carried dense state)
-  // instead of decoding the artifact again per compile.
-  std::shared_ptr<nn::Sequential> probe = factory_();
-  CRISP_CHECK(probe != nullptr, "tenant::Store: factory returned null model");
-  base_->packed().unpack_into(*probe);
-  template_state_ = probe->state_dict();
-  for (const auto& [name, tensor] : template_state_)
-    template_bytes_ += tensor.numel() * static_cast<std::int64_t>(sizeof(float));
+  // One unpack and one compile for the whole fleet: every tenant artifact
+  // is this one with its overlay kernels substituted, running the same
+  // model (decoded effective base weights + carried dense state).
+  std::shared_ptr<nn::Sequential> model = factory();
+  CRISP_CHECK(model != nullptr, "tenant::Store: factory returned null model");
+  base_->packed().unpack_into(*model);
+  base_model_ =
+      serve::CompiledModel::compile(std::move(model), base_->packed_ptr());
 }
 
 void Store::register_tenant(const std::string& id, MaskDelta delta) {
@@ -89,13 +88,10 @@ std::shared_ptr<const serve::CompiledModel> Store::acquire(
     delta = tt->second.delta;
   }
 
-  // The slow part — clone, template load, overlay hooks — runs unlocked,
-  // so hot acquires and registrations never stall behind a miss.
+  // The overlay compile runs unlocked, so hot acquires and registrations
+  // never stall behind a miss.
   testing::maybe_fail("store.compile");
-  std::shared_ptr<nn::Sequential> clone = factory_();
-  CRISP_CHECK(clone != nullptr, "tenant::Store: factory returned null model");
-  clone->load_state_dict(template_state_);
-  OverlayCompile oc = compile_overlay(std::move(clone), base_, delta);
+  OverlayCompile oc = compile_overlay(*base_model_, base_, delta);
 
   std::vector<Compiled> reap;
   std::shared_ptr<const serve::CompiledModel> result;
@@ -167,10 +163,7 @@ StoreStats Store::stats() const {
 
 std::shared_ptr<const serve::CompiledModel> Store::acquire_base() const {
   testing::maybe_fail("store.compile_base");
-  std::shared_ptr<nn::Sequential> clone = factory_();
-  CRISP_CHECK(clone != nullptr, "tenant::Store: factory returned null model");
-  clone->load_state_dict(template_state_);
-  return serve::CompiledModel::compile(std::move(clone), base_->packed_ptr());
+  return base_model_;
 }
 
 std::int64_t Store::save_shard(const std::string& path) const {
@@ -207,12 +200,10 @@ std::int64_t Store::excess_base_copies() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::int64_t excess = 0;
   for (const auto& [id, c] : compiled_) {
-    for (const auto& overlay : c.overlays) {
-      if (!overlay->aliases_base_payload()) {
-        ++excess;
-        break;
-      }
-    }
+    bool copies = &c.model->model() != &base_model_->model();
+    for (const auto& overlay : c.overlays)
+      copies = copies || !overlay->aliases_base_payload();
+    if (copies) ++excess;
   }
   return excess;
 }

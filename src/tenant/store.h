@@ -6,9 +6,11 @@
 //   * each registered tenant costs its MaskDelta's serialized size —
 //     tens of kilobytes, so thousands of tenants fit where a handful of
 //     full PackedModel copies would;
-//   * only *compiled* tenants (model clone + overlay hooks, built by
-//     acquire() on a miss) cost real per-tenant memory, and those live in
-//     an LRU cache under an explicit byte budget.
+//   * a *compiled* tenant (built by acquire() on a miss) is the store's
+//     one base CompiledModel with the tenant's overlay kernels substituted
+//     — the dense model is shared by pointer, never cloned — so it costs
+//     a fixed allowance for its kernel table and overlay objects; those
+//     live in an LRU cache under an explicit byte budget.
 // resident_bytes() reports exactly those three components, and the
 // accounting test (tests/test_tenant.cpp) pins total ≈ base + N·delta +
 // K·compiled for N ≥ 2000 registered tenants and K cache residents.
@@ -16,8 +18,9 @@
 // Compilation happens *outside* the store lock — registration lookups and
 // cache hits never wait behind a miss — and a lost insert race just serves
 // the winner's artifact. excess_base_copies() audits the masks-not-models
-// invariant: every cached overlay must execute the base arena by pointer
-// identity (bench/tenants.cpp gates it at exactly zero in CI).
+// invariant: every cached tenant must run the store's base model and
+// execute the base arena by pointer identity (bench/tenants.cpp gates it
+// at exactly zero in CI).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +49,8 @@ struct ShardLoadReport {
 };
 
 struct StoreOptions {
-  /// LRU budget over compiled tenants, in bytes (model clone + bookkeeping
-  /// per resident — see Store::compiled_overhead_bytes()). When an insert
+  /// LRU budget over compiled tenants, in bytes (a fixed allowance per
+  /// resident — see Store::compiled_overhead_bytes()). When an insert
   /// pushes past it, least-recently-acquired tenants are evicted; the
   /// just-compiled tenant itself is never evicted, so one oversized model
   /// still serves.
@@ -70,16 +73,15 @@ struct ResidentBytes {
   std::int64_t total() const { return base + deltas + compiled; }
 };
 
-/// Builds a fresh instance of the served architecture (weights are then
-/// loaded from the store's shared unpacked template). Must be thread-safe
-/// to call concurrently — acquire() compiles outside the store lock.
+/// Builds a fresh instance of the served architecture; the store calls it
+/// once and unpacks the base artifact into it.
 using ModelFactory = std::function<std::shared_ptr<nn::Sequential>()>;
 
 class Store {
  public:
   /// `factory` must produce the architecture the base artifact was packed
-  /// from; the constructor unpacks the base through it once to build the
-  /// dense template every compiled tenant loads.
+  /// from; the constructor unpacks the base into it once and compiles the
+  /// base model every tenant shares.
   Store(std::shared_ptr<const BaseArtifact> base, ModelFactory factory,
         StoreOptions options = {});
 
@@ -101,11 +103,12 @@ class Store {
   /// cache's reference.
   std::shared_ptr<const serve::CompiledModel> acquire(const std::string& id);
 
-  /// Compiles the shared base model itself — no personalization. This is
-  /// the graceful-degradation artifact tenant::Router serves when a
-  /// tenant's delta is quarantined. Deliberately uncached and not counted
-  /// in resident_bytes(): the caller owns it, and the fleet accounting
-  /// identity stays exactly base + deltas + compiled.
+  /// The shared base model itself — no personalization, compiled once by
+  /// the constructor. Every tenant artifact is this one with its overlay
+  /// kernels substituted, and it is the graceful-degradation artifact
+  /// tenant::Router serves when a tenant's delta is quarantined. Not
+  /// counted in resident_bytes() (its packed payload is the base term), so
+  /// the fleet accounting identity stays exactly base + deltas + compiled.
   std::shared_ptr<const serve::CompiledModel> acquire_base() const;
 
   /// Atomically persists every registered tenant (id + delta) to a
@@ -127,17 +130,17 @@ class Store {
   std::int64_t compiled_count() const;
   ResidentBytes resident_bytes() const;
   StoreStats stats() const;
-  /// Cached tenants whose overlays do NOT execute the base arena by
-  /// pointer identity. Always 0 by construction today; gated at exactly
-  /// zero in CI so a regression to copy-per-tenant cannot land silently.
+  /// Cached tenants that copy what they should share: their model is not,
+  /// by pointer identity, the base model acquire_base() runs, or an
+  /// overlay does not execute the base arena. Always 0 by construction
+  /// today; gated at exactly zero in CI so a regression to a per-tenant
+  /// model clone or payload copy cannot land silently.
   std::int64_t excess_base_copies() const;
 
-  /// Bytes one compiled resident is accounted at: the dense template
-  /// clone (the dominant term) + a fixed allowance for hooks, overlay
-  /// objects, and engine-side bookkeeping.
-  std::int64_t compiled_overhead_bytes() const {
-    return template_bytes_ + kCompiledFixedBytes;
-  }
+  /// Bytes one compiled resident is accounted at: a fixed allowance for
+  /// its kernel table, overlay objects, and engine-side bookkeeping. There
+  /// is no dense term — residents share the base model.
+  static std::int64_t compiled_overhead_bytes() { return kCompiledFixedBytes; }
   const BaseArtifact& base() const { return *base_; }
   const StoreOptions& options() const { return options_; }
 
@@ -161,10 +164,9 @@ class Store {
                             std::vector<Compiled>& reap);
 
   std::shared_ptr<const BaseArtifact> base_;
-  ModelFactory factory_;
   StoreOptions options_;
-  TensorMap template_state_;     ///< base unpacked once, shared by clones
-  std::int64_t template_bytes_ = 0;
+  /// The base unpacked and compiled once; every tenant shares its model.
+  std::shared_ptr<const serve::CompiledModel> base_model_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Tenant> tenants_;

@@ -1,5 +1,6 @@
 // Deployment-artifact tests: PackedModel pack/save/load/unpack and packed
-// execution (GEMM hooks) against the dense masked reference.
+// execution (serve::CompiledModel's kernel table) against the dense masked
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,6 @@
 #include "core/block_pruning.h"
 #include "core/pruner.h"
 #include "data/class_pattern.h"
-#include "deploy/packed_exec.h"
 #include "deploy/packed_model.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -17,6 +17,7 @@
 #include "nn/models/common.h"
 #include "nn/pooling.h"
 #include "nn/trainer.h"
+#include "serve/compiled_model.h"
 
 namespace crisp::deploy {
 namespace {
@@ -30,7 +31,7 @@ std::string temp_path(const char* stem) {
 /// exercises the exact invariant the CRISP pruner guarantees.
 using core::install_random_hybrid_masks;
 
-/// Small conv net with one grouped conv (hook-refusing) and a classifier.
+/// Small conv net with one grouped conv (dense-only) and a classifier.
 std::unique_ptr<nn::Sequential> make_convnet(bool grouped_prunable = false) {
   Rng rng(7);
   auto model = std::make_unique<nn::Sequential>("testnet");
@@ -373,8 +374,10 @@ TEST(PackedModel, UnpackRestoresEffectiveWeightsAndMasks) {
   }
 }
 
+using serve::CompiledModel;
+
 TEST(PackedExec, PackedForwardMatchesMaskedDense) {
-  auto model = make_convnet();
+  std::shared_ptr<nn::Sequential> model = make_convnet();
   install_random_hybrid_masks(*model, 8, 2, 4, 1);
   Rng xrng(5);
   const Tensor x = Tensor::randn({3, 3, 8, 8}, xrng);
@@ -382,15 +385,15 @@ TEST(PackedExec, PackedForwardMatchesMaskedDense) {
 
   auto packed =
       std::make_shared<const PackedModel>(PackedModel::pack(*model, 8, 2, 4));
-  const auto attached = install_packed_hooks(*model, packed);
-  EXPECT_EQ(attached.size(), packed->entries().size());
-  const Tensor packed_out = nn::predict(*model, x);
+  const auto compiled = CompiledModel::compile(model, packed);
+  EXPECT_EQ(compiled->packed_layers().size(), packed->entries().size());
   // Same multiplications in a different accumulation order.
-  EXPECT_LE(max_abs_diff(dense_out, packed_out), 1e-4f);
+  EXPECT_LE(max_abs_diff(dense_out, compiled->run(x)), 1e-4f);
 }
 
-TEST(PackedExec, InstallSkipsGroupedConvs) {
-  auto model = make_convnet(/*grouped_prunable=*/true);
+TEST(PackedExec, CompileSkipsGroupedConvs) {
+  std::shared_ptr<nn::Sequential> model =
+      make_convnet(/*grouped_prunable=*/true);
   install_random_hybrid_masks(*model, 8, 2, 4, 1);
   Rng xrng(5);
   const Tensor x = Tensor::randn({2, 3, 8, 8}, xrng);
@@ -398,38 +401,61 @@ TEST(PackedExec, InstallSkipsGroupedConvs) {
 
   auto packed =
       std::make_shared<const PackedModel>(PackedModel::pack(*model, 8, 2, 4));
-  const auto attached = install_packed_hooks(*model, packed);
-  // conv2 (groups=2) refuses the hook; conv1 and fc accept.
-  EXPECT_EQ(attached.size(), packed->entries().size() - 1);
-  for (const std::string& name : attached) EXPECT_NE(name, "conv2.weight");
+  const auto compiled = CompiledModel::compile(model, packed);
+  // conv2 (groups=2) stays dense; conv1 and fc run packed.
+  const std::vector<std::string>& bound = compiled->packed_layers();
+  EXPECT_EQ(bound.size(), packed->entries().size() - 1);
+  for (const std::string& name : bound) EXPECT_NE(name, "conv2.weight");
 
   // Mixed execution still matches the dense reference.
-  const Tensor packed_out = nn::predict(*model, x);
-  EXPECT_LE(max_abs_diff(dense_out, packed_out), 1e-4f);
+  EXPECT_LE(max_abs_diff(dense_out, compiled->run(x)), 1e-4f);
 }
 
-TEST(PackedExec, TrainingForwardIgnoresHook) {
-  auto model = make_convnet();
+TEST(PackedExec, CompileLeavesModelUntouched) {
+  std::shared_ptr<nn::Sequential> model = make_convnet();
   install_random_hybrid_masks(*model, 8, 2, 4, 1);
   Rng xrng(5);
   const Tensor x = Tensor::randn({2, 3, 8, 8}, xrng);
-  const Tensor dense_out = nn::predict(*model, x);
+  const Tensor before = nn::predict(*model, x);
   auto packed =
       std::make_shared<const PackedModel>(PackedModel::pack(*model, 8, 2, 4));
-  install_packed_hooks(*model, packed);
+  const auto compiled = CompiledModel::compile(model, packed);
+  ASSERT_FALSE(compiled->packed_layers().empty());
 
-  // Train-mode forward must run the dense path (and cache activations for
-  // backward) even with hooks installed — STE updates need dense weights.
+  // The caller's model still computes with its own dense weights, in eval
+  // and in training (with a backward, which STE needs the dense path for).
+  EXPECT_FLOAT_EQ(max_abs_diff(nn::predict(*model, x), before), 0.0f);
   const Tensor train_out = model->forward(x, /*train=*/true);
   Tensor grad(train_out.shape());
   grad.fill(1.0f);
   EXPECT_NO_THROW(model->backward(grad));
-  EXPECT_FLOAT_EQ(max_abs_diff(train_out, dense_out), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(train_out, before), 0.0f);
+}
+
+TEST(PackedExec, OneModelBacksDenseAndPackedCompiles) {
+  std::shared_ptr<nn::Sequential> model = make_convnet();
+  install_random_hybrid_masks(*model, 8, 2, 4, 1);
+  Rng xrng(5);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, xrng);
+  const Tensor before = nn::predict(*model, x);
+  auto packed =
+      std::make_shared<const PackedModel>(PackedModel::pack(*model, 8, 2, 4));
+
+  const auto dense = CompiledModel::compile(model);
+  const auto sparse = CompiledModel::compile(model, packed);
+  ASSERT_EQ(&dense->model(), &sparse->model());
+  EXPECT_TRUE(dense->packed_layers().empty());
+  EXPECT_EQ(sparse->packed_layers().size(), packed->entries().size());
+  // Each artifact runs its own binding of the one shared model, in any
+  // order: a packed run leaves nothing behind that the dense run sees.
+  EXPECT_FLOAT_EQ(max_abs_diff(dense->run(x), before), 0.0f);
+  EXPECT_LE(max_abs_diff(sparse->run(x), before), 1e-4f);
+  EXPECT_FLOAT_EQ(max_abs_diff(dense->run(x), before), 0.0f);
 }
 
 TEST(PackedExec, LinearOnlyModelRoundTrips) {
   Rng rng(9);
-  auto model = std::make_unique<nn::Sequential>("mlp");
+  auto model = std::make_shared<nn::Sequential>("mlp");
   model->emplace<nn::Linear>("fc1", 32, 24, rng);
   model->emplace<nn::ReLU>("relu");
   model->emplace<nn::Linear>("fc2", 24, 8, rng);
@@ -440,10 +466,9 @@ TEST(PackedExec, LinearOnlyModelRoundTrips) {
   const Tensor dense_out = nn::predict(*model, x);
   auto packed =
       std::make_shared<const PackedModel>(PackedModel::pack(*model, 8, 2, 4));
-  const auto attached = install_packed_hooks(*model, packed);
-  EXPECT_EQ(attached.size(), 2u);
-  const Tensor packed_out = nn::predict(*model, x);
-  EXPECT_LE(max_abs_diff(dense_out, packed_out), 1e-4f);
+  const auto compiled = CompiledModel::compile(model, packed);
+  EXPECT_EQ(compiled->packed_layers().size(), 2u);
+  EXPECT_LE(max_abs_diff(dense_out, compiled->run(x)), 1e-4f);
 }
 
 TEST(PackedModel, UnmaskedModelPacksAsAllDense) {
@@ -467,12 +492,12 @@ TEST(PackedModel, UnmaskedModelPacksAsAllDense) {
             1e-6f);
 }
 
-TEST(PackedExec, HooksSurviveOwnerHandleDestruction) {
-  // The hooks co-own the artifact through aliasing shared_ptrs: each
-  // kernel pointer is one entry's CrispMatrix, but the refcount is the
-  // whole PackedModel's. Dropping every caller-side handle — moved-from
+TEST(PackedExec, CompiledModelSurvivesOwnerHandleDestruction) {
+  // The kernel table co-owns the artifact through aliasing shared_ptrs:
+  // each kernel pointer is one entry's CrispMatrix, but the refcount is
+  // the whole PackedModel's. Dropping every caller-side handle — moved-from
   // staging object, reset shared_ptr — must leave packed serving intact.
-  auto model = make_convnet();
+  std::shared_ptr<nn::Sequential> model = make_convnet();
   install_random_hybrid_masks(*model, 8, 2, 4, 1);
   Rng xrng(5);
   const Tensor x = Tensor::randn({2, 3, 8, 8}, xrng);
@@ -480,10 +505,11 @@ TEST(PackedExec, HooksSurviveOwnerHandleDestruction) {
 
   PackedModel staging = PackedModel::pack(*model, 8, 2, 4);
   auto packed = std::make_shared<const PackedModel>(std::move(staging));
-  ASSERT_FALSE(install_packed_hooks(*model, packed).empty());
-  packed.reset();  // the hooks hold the only remaining references
-  const Tensor got = nn::predict(*model, x);
-  EXPECT_LE(max_abs_diff(want, got), 1e-4f);
+  const auto compiled = CompiledModel::compile(model, packed);
+  ASSERT_FALSE(compiled->packed_layers().empty());
+  packed.reset();  // the kernel table holds the only remaining references
+  model.reset();
+  EXPECT_LE(max_abs_diff(want, compiled->run(x)), 1e-4f);
 }
 
 // The full pipeline: CRISP-prune a real (tiny) model, pack, ship, reload,
@@ -528,11 +554,13 @@ TEST(PackedPipeline, PruneShipReloadServe) {
   const auto shipped =
       std::make_shared<const PackedModel>(PackedModel::load(path));
   std::remove(path.c_str());
-  auto device_model = nn::make_vgg16(mcfg);  // fresh weights on the device
+  // Fresh weights on the device, replaced by the artifact's.
+  std::shared_ptr<nn::Sequential> device_model = nn::make_vgg16(mcfg);
   shipped->unpack_into(*device_model);
-  const auto attached = install_packed_hooks(*device_model, shipped);
-  EXPECT_FALSE(attached.empty());
-  const float acc_served = nn::evaluate(*device_model, split.test);
+  const auto compiled = CompiledModel::compile(device_model, shipped);
+  EXPECT_FALSE(compiled->packed_layers().empty());
+  const float acc_served = nn::evaluate(
+      [&](const Tensor& x) { return compiled->run(x); }, split.test);
   EXPECT_NEAR(acc_served, acc_pruned, 1e-6f);
 }
 

@@ -577,7 +577,7 @@ TEST(NnThreading, MaxPoolForwardThreadCountInvariant) {
   Rng rng(5);
   const Tensor x = Tensor::randn({4, 6, 17, 13}, rng);
   nn::MaxPool2d pool("pool", 3, 2);
-  expect_thread_invariant([&] { return pool.forward_eval(x); });
+  expect_thread_invariant([&] { return pool.forward_eval(x, {}); });
   expect_thread_invariant([&] { return pool.forward(x, /*train=*/true); });
 }
 
@@ -586,7 +586,7 @@ TEST(NnThreading, GlobalAvgPoolThreadCountInvariant) {
   Rng rng(6);
   const Tensor x = Tensor::randn({5, 7, 9, 11}, rng);
   nn::GlobalAvgPool gap("gap");
-  expect_thread_invariant([&] { return gap.forward_eval(x); });
+  expect_thread_invariant([&] { return gap.forward_eval(x, {}); });
 }
 
 TEST(NnThreading, BatchNormEvalThreadCountInvariant) {
@@ -594,7 +594,7 @@ TEST(NnThreading, BatchNormEvalThreadCountInvariant) {
   Rng rng(7);
   const Tensor x = Tensor::randn({4, 12, 9, 7}, rng);
   nn::BatchNorm2d bn("bn", 12);
-  expect_thread_invariant([&] { return bn.forward_eval(x); });
+  expect_thread_invariant([&] { return bn.forward_eval(x, {}); });
 }
 
 TEST(NnThreading, BatchNormTrainThreadCountInvariant) {

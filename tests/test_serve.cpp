@@ -6,20 +6,20 @@
 // The load-bearing invariant: batching never changes the math. Every
 // engine response must equal the serial single-sample forward of the same
 // input — bit-identical on the dense path (per-row kernels, per-element
-// ops), and within kernel rounding on the packed path (the Linear hook
+// ops), and within kernel rounding on the packed path (the packed Linear
 // vectorizes over the batch column, so the batch tail path may differ in
 // the last bit).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/block_pruning.h"
-#include "deploy/packed_exec.h"
 #include "kernels/parallel_for.h"
 #include "deploy/packed_model.h"
 #include "nn/activations.h"
@@ -118,12 +118,13 @@ TEST(CompiledModel, KeepsArtifactAndModelAlive) {
   EXPECT_FLOAT_EQ(max_abs_diff(want, compiled->run(x)), 0.0f);
 }
 
-// Regression for the historical attach_packed lifetime hazard: the hooks
+// Regression for the historical attach_packed lifetime hazard: GEMM hooks
 // used to hold raw pointers into the caller's PackedModel, so destroying
-// it left the model dangling. That wrapper is gone; the supported path is
-// a CompiledModel whose hooks co-own their kernels via aliasing
-// shared_ptrs, so every caller-side handle — the model, the artifact, the
-// individual kernel list — may die right after compile.
+// it left the model dangling. The supported path is a CompiledModel whose
+// kernel table co-owns its kernels via aliasing shared_ptrs — also after
+// substitute() swaps some of them — so every caller-side handle (the
+// model, the artifacts, the replacement kernel map) may die right after
+// compile.
 TEST(PackedExecLifetime, CompiledModelSurvivesHandleDestruction) {
   Tensor x = random_sample(5, {2, 3, 8, 8});
   Tensor want;
@@ -134,12 +135,14 @@ TEST(PackedExecLifetime, CompiledModelSurvivesHandleDestruction) {
     want = nn::predict(*model, x);
     auto packed = std::make_shared<const deploy::PackedModel>(
         deploy::PackedModel::pack(*model, 8, 2, 4));
-    std::vector<deploy::NamedKernel> kernels;
-    for (const deploy::PackedEntry& e : packed->entries())
-      kernels.push_back({e.name, std::shared_ptr<const kernels::SpmmKernel>(
-                                     packed, &e.matrix)});
-    compiled = CompiledModel::compile_with_kernels(model, kernels);
-    packed.reset();  // only the hooks' aliasing references remain
+    auto other = std::make_shared<const deploy::PackedModel>(*packed);
+    std::map<std::string, std::shared_ptr<const kernels::SpmmKernel>> kernels;
+    for (const deploy::PackedEntry& e : other->entries())
+      kernels.emplace(e.name, std::shared_ptr<const kernels::SpmmKernel>(
+                                  other, &e.matrix));
+    compiled = CompiledModel::compile(model, packed)->substitute(kernels);
+    other.reset();  // only the table's aliasing references remain
+    packed.reset();
   }
   EXPECT_LE(max_abs_diff(want, compiled->run(x)), 1e-4f);
 }
@@ -156,7 +159,7 @@ TEST(CompiledModel, QuantizedCompileBuildsPrivateInt8Artifact) {
   auto compiled = CompiledModel::compile(model, packed, opts);
   EXPECT_TRUE(compiled->quantized());
   EXPECT_EQ(compiled->packed_layers().size(), packed->entries().size());
-  // The caller's artifact stays fp32; the compile hooked a private copy
+  // The caller's artifact stays fp32; the compile bound a private copy
   // whose payload is a quarter of the fp32 bytes plus the scales.
   EXPECT_FALSE(packed->quantized());
   ASSERT_NE(compiled->packed(), nullptr);
@@ -180,7 +183,7 @@ TEST(CompiledModel, QuantizedCompileBuildsPrivateInt8Artifact) {
 
   auto plain_model = make_mlp();
   auto plain = CompiledModel::compile(plain_model, keep_both);
-  EXPECT_FALSE(plain->quantized());  // hooks run the fp32 slots
+  EXPECT_FALSE(plain->quantized());  // kernels run the fp32 slots
 }
 
 // The tentpole invariant for quantized serving: an int8 engine's outputs
@@ -195,8 +198,8 @@ TEST(Engine, QuantizedEngineParityWithFp32Engine) {
       deploy::PackedModel::pack(*model, 8, 2, 4));
   auto fp32_compiled = CompiledModel::compile(model, packed);
 
-  // A second model instance for the quantized compile (hooks are installed
-  // on the nn graph, so each compiled artifact needs its own).
+  // A second model instance for the quantized compile (one model could
+  // back both; a separate one also covers independently built models).
   auto qmodel = make_mlp();
   install_random_hybrid_masks(*qmodel, 8, 2, 4, 1);
   serve::CompileOptions qopts;
@@ -365,7 +368,7 @@ TEST(Engine, PackedModelServesWithinKernelRounding) {
         *compiled,
         random_sample(static_cast<std::uint64_t>(900 + i), {32}));
     ASSERT_TRUE(r.output.same_shape(want));
-    // The packed Linear hook vectorizes over the batch column, so the
+    // The packed Linear kernel vectorizes over the batch column, so the
     // B=1 reference and the batched run may differ by FMA contraction.
     EXPECT_LE(max_abs_diff(r.output, want), 1e-5f) << "request " << i;
   }
@@ -531,7 +534,7 @@ TEST(Engine, TwoEnginesShareOneCompiledModel) {
         random_sample(static_cast<std::uint64_t>(3000 + i), {3, 8, 8}));
     const Tensor got_a = fa[static_cast<std::size_t>(i)].get().output;
     const Tensor got_b = fb[static_cast<std::size_t>(i)].get().output;
-    // Conv hooks run per sample, so even the packed path is bit-stable
+    // Conv kernels run per sample, so even the packed path is bit-stable
     // against the serial reference here; both engines must agree exactly.
     EXPECT_LE(max_abs_diff(got_a, want), 1e-5f) << "engine a, request " << i;
     EXPECT_FLOAT_EQ(max_abs_diff(got_a, got_b), 0.0f) << "request " << i;

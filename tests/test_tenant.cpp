@@ -148,7 +148,9 @@ std::shared_ptr<const serve::CompiledModel> compile_overlay_model(
     std::vector<std::shared_ptr<const OverlayMatrix>>* overlays = nullptr) {
   std::shared_ptr<nn::Sequential> model = factory();
   base->packed().unpack_into(*model);
-  OverlayCompile oc = compile_overlay(std::move(model), base, delta);
+  const auto base_model =
+      serve::CompiledModel::compile(std::move(model), base->packed_ptr());
+  OverlayCompile oc = compile_overlay(*base_model, base, delta);
   if (overlays != nullptr) *overlays = oc.overlays;
   return oc.model;
 }
@@ -458,6 +460,24 @@ TEST(Store, FleetScaleAccountingIdentity) {
   EXPECT_EQ(store.stats().hits, 1);
 }
 
+TEST(Store, TenantsShareOneBaseModel) {
+  const ModelFactory factory = [] { return make_mlp(); };
+  auto base = make_base(factory, 0);
+  Store store(base, factory);
+  for (int i = 1; i <= 2; ++i)
+    store.register_tenant(tenant_id(i),
+                          tenant_delta(*base, factory, 0,
+                                       static_cast<std::uint64_t>(i)));
+  auto t1 = store.acquire(tenant_id(1));
+  auto t2 = store.acquire(tenant_id(2));
+  ASSERT_NE(t1.get(), t2.get());
+  // One model, one kernel table per tenant: a tenant compile substitutes
+  // kernels, it never clones the base model.
+  EXPECT_EQ(&t1->model(), &t2->model());
+  EXPECT_EQ(&t1->model(), &store.acquire_base()->model());
+  EXPECT_EQ(store.excess_base_copies(), 0);
+}
+
 TEST(Store, LruEvictionAndEvictedArtifactStaysServable) {
   const ModelFactory factory = [] { return make_mlp(); };
   auto base = make_base(factory, 0);
@@ -661,24 +681,24 @@ TEST(Router, DeadlineAgesAcrossColdCompile) {
 }
 
 TEST(Router, ColdQueueOverflowRejects) {
-  // A deliberately slow factory pins the compiler thread long enough to
-  // overflow the bounded cold queue deterministically.
-  const ModelFactory slow = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    return make_mlp();
-  };
+  // A first compile that fails pins the compiler thread in its retry
+  // backoff long enough to overflow the bounded cold queue
+  // deterministically; the retry then serves the parked request.
   auto base = make_base(make_mlp, 0);
-  auto store = std::make_shared<Store>(base, slow);
+  auto store = std::make_shared<Store>(base, make_mlp);
   store->register_tenant("t1", tenant_delta(*base, make_mlp, 0, 1));
   RouterOptions opts;
   opts.cold_queue_depth = 1;
+  opts.compile_retry_backoff = std::chrono::milliseconds(100);
   Router router(store, opts);
 
+  crisp::testing::arm_fault("store.compile", /*nth=*/0, /*times=*/1);
   auto first = router.submit("t1", make_request(random_sample(51, {32})));
   auto second = router.submit("t1", make_request(random_sample(52, {32})));
   serve::Response r2 = second.get();  // resolves immediately, never parked
   EXPECT_EQ(r2.status, serve::Response::Status::kRejected);
   EXPECT_EQ(first.get().status, serve::Response::Status::kOk);
+  crisp::testing::reset_faults();
 
   const RouterStats s = router.stats();
   EXPECT_EQ(s.cold_rejected, 1);
@@ -686,24 +706,26 @@ TEST(Router, ColdQueueOverflowRejects) {
 }
 
 TEST(Router, ShutdownCancelsParkedColdRequests) {
-  const ModelFactory slow = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    return make_mlp();
-  };
   auto base = make_base(make_mlp, 0);
-  auto store = std::make_shared<Store>(base, slow);
+  auto store = std::make_shared<Store>(base, make_mlp);
   store->register_tenant("t1", tenant_delta(*base, make_mlp, 0, 1));
   store->register_tenant("t2", tenant_delta(*base, make_mlp, 0, 2));
-  Router router(store);
+  RouterOptions opts;
+  opts.compile_retry_backoff = std::chrono::seconds(30);
+  Router router(store, opts);
 
-  // t1's compile is mid-build and t2's has not started when shutdown
-  // lands. Shutdown is prompt: every still-parked request resolves as
-  // kCancelled (only work that already reached an engine drains), and the
-  // compiler discards the half-built engine instead of serving with it.
+  // t1's compile is mid-build (its first attempt failed; the retry waits
+  // out a backoff only shutdown interrupts) and t2's has not started when
+  // shutdown lands. Shutdown is prompt: every still-parked request
+  // resolves as kCancelled (only work that already reached an engine
+  // drains), and the compiler discards the half-built engine instead of
+  // serving with it.
+  crisp::testing::arm_fault("store.compile", /*nth=*/0, /*times=*/1);
   auto building = router.submit("t1", make_request(random_sample(61, {32})));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   auto parked = router.submit("t2", make_request(random_sample(62, {32})));
   router.shutdown();
+  crisp::testing::reset_faults();
 
   EXPECT_EQ(building.get().status, serve::Response::Status::kCancelled);
   serve::Response r = parked.get();
@@ -751,7 +773,7 @@ TEST(Router, ConcurrentProducersAcrossTenantsAllServed) {
           *compiled, random_sample(
                          static_cast<std::uint64_t>(9000 + t * 100 + i), {32}));
       // Engine batching may coalesce same-tenant requests; the packed
-      // Linear hook's batch tail can differ in the last bit.
+      // Linear kernel's batch tail can differ in the last bit.
       EXPECT_LE(max_abs_diff(r.output, want), 1e-4f)
           << "tenant " << t << " request " << i;
     }

@@ -43,12 +43,12 @@
 #include "core/pruner.h"
 #include "core/sensitivity.h"
 #include "core/unlearn.h"
-#include "deploy/packed_exec.h"
 #include "deploy/packed_model.h"
 #include "nn/activations.h"
 #include "nn/flops.h"
 #include "nn/linear.h"
 #include "nn/zoo.h"
+#include "serve/compiled_model.h"
 #include "sparse/block.h"
 #include "tenant/shard.h"
 #include "tenant/store.h"
@@ -185,15 +185,17 @@ int cmd_pack(const Args& args) {
   packed.save(path);
 
   // Round-trip check: reload, rebuild the architecture, serve packed.
-  // The hooks co-own the reloaded artifact, so no caller-side handle has
-  // to outlive them.
+  // The compiled model co-owns the reloaded artifact, so no caller-side
+  // handle has to outlive it.
   auto shipped = std::make_shared<const deploy::PackedModel>(
       deploy::PackedModel::load(path));
-  auto device = nn::make_model(out.spec.model, out.spec.model_config());
+  std::shared_ptr<nn::Sequential> device =
+      nn::make_model(out.spec.model, out.spec.model_config());
   shipped->unpack_into(*device);
-  deploy::install_packed_hooks(*device, shipped);
-  const float served =
-      nn::evaluate(*device, out.user_test, 64, out.classes);
+  const auto compiled = serve::CompiledModel::compile(device, shipped);
+  const float served = nn::evaluate(
+      [&](const Tensor& x) { return compiled->run(x); }, out.user_test, 64,
+      out.classes);
   std::printf("saved %s; served accuracy from packed artifact: %.1f%% "
               "(cloud-side %.1f%%)\n",
               path.c_str(), 100 * served, 100 * out.accuracy);
