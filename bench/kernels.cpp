@@ -15,10 +15,10 @@
 // (tools/compare_bench.py) compares the threads:1 medians against the
 // committed BENCH_kernels.json.
 //
-// Record a baseline with:
-//   ./bench_kernels --benchmark_repetitions=5 \
-//                   --benchmark_report_aggregates_only=true \
-//                   --benchmark_out=BENCH_kernels.json \
+// Record a baseline with (one command line):
+//   ./bench_kernels --benchmark_repetitions=5
+//                   --benchmark_report_aggregates_only=true
+//                   --benchmark_out=BENCH_kernels.json
 //                   --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 

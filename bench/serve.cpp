@@ -90,7 +90,7 @@ void run_engine(benchmark::State& state,
   for (auto _ : state) {
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(reqs.size());
-    for (const Tensor& r : reqs) futures.push_back(engine.submit(r));
+    for (const Tensor& r : reqs) futures.push_back(engine.submit({r}));
     for (auto& f : futures) {
       const serve::Response resp = f.get();
       latency_us.push_back(static_cast<double>(

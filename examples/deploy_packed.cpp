@@ -110,7 +110,7 @@ int main() {
   std::vector<std::future<serve::Response>> futures;
   futures.reserve(static_cast<std::size_t>(user_test.size()));
   for (std::int64_t i = 0; i < user_test.size(); ++i)
-    futures.push_back(engine.submit(user_test.sample(i).reshaped({c, h, w})));
+    futures.push_back(engine.submit({user_test.sample(i).reshaped({c, h, w})}));
 
   std::int64_t correct = 0;
   for (std::int64_t i = 0; i < user_test.size(); ++i) {

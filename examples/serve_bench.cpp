@@ -92,7 +92,7 @@ EngineRun run_engine(std::shared_ptr<const serve::CompiledModel> compiled,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::future<serve::Response>> futures;
   futures.reserve(reqs.size());
-  for (const Tensor& r : reqs) futures.push_back(engine.submit(r));
+  for (const Tensor& r : reqs) futures.push_back(engine.submit({r}));
   std::vector<double> latency_us;
   latency_us.reserve(reqs.size());
   for (auto& f : futures) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "kernels/parallel_for.h"
@@ -43,18 +42,22 @@ Engine::Engine(std::shared_ptr<const CompiledModel> model,
 
 Engine::~Engine() { shutdown(Drain::kServe); }
 
-std::future<Response> Engine::submit(Tensor sample) {
-  Request request;
-  request.sample = std::move(sample);
-  return submit_impl(std::move(request), /*legacy_throw=*/true);
-}
-
 std::future<Response> Engine::submit(Request request) {
-  return submit_impl(std::move(request), /*legacy_throw=*/false);
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> fut = promise->get_future();
+  submit(std::move(request), [promise](Response r, std::exception_ptr err) {
+    if (err)
+      promise->set_exception(std::move(err));
+    else
+      promise->set_value(std::move(r));
+  });
+  return fut;
 }
 
-std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
+void Engine::submit(Request request, Completion done) {
   CRISP_CHECK(!request.sample.empty(), "serve::Engine::submit: empty sample");
+  CRISP_CHECK(done != nullptr, "serve::Engine::submit: null completion");
   const int pr = static_cast<int>(request.priority);
   CRISP_CHECK(pr >= 0 && pr < kPriorityCount,
               "serve::Engine::submit: invalid priority " << pr);
@@ -62,9 +65,9 @@ std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
   Pending p;
   p.sample = std::move(request.sample);
   p.priority = request.priority;
+  p.done = std::move(done);
   p.enqueued = Clock::now();
   if (request.deadline.count() > 0) p.deadline = p.enqueued + request.deadline;
-  std::future<Response> fut = p.promise.get_future();
 
   // A displaced victim is completed outside the lock; the decision to
   // displace is made under it.
@@ -92,7 +95,7 @@ std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
         ++stats_.infeasible;
         lk.unlock();
         fulfill_terminal(p, Response::Status::kInfeasible, Clock::now());
-        return fut;
+        return;
       }
     }
 
@@ -105,7 +108,7 @@ std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
       ++stats_.rejected;
       lk.unlock();
       fulfill_terminal(p, Response::Status::kRejected, Clock::now());
-      return fut;
+      return;
     }
 
     if (queued_total_locked() >= options_.queue_depth && !stopping_) {
@@ -126,13 +129,9 @@ std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
         ++stats_.shed;
       } else if (options_.overflow == EngineOptions::Overflow::kReject) {
         ++stats_.rejected;
-        if (legacy_throw)
-          throw std::runtime_error(
-              "serve::Engine: queue full (queue_depth = " +
-              std::to_string(options_.queue_depth) + ")");
         lk.unlock();
         fulfill_terminal(p, Response::Status::kRejected, Clock::now());
-        return fut;
+        return;
       } else {
         // Parked submitters are counted so shutdown() can wait for them to
         // leave before the engine's mutex/condvars are torn down.
@@ -153,7 +152,6 @@ std::future<Response> Engine::submit_impl(Request request, bool legacy_throw) {
   cv_submitted_.notify_one();
   if (have_victim)
     fulfill_terminal(victim, Response::Status::kShed, Clock::now());
-  return fut;
 }
 
 void Engine::shutdown(Drain drain) {
@@ -201,7 +199,7 @@ void Engine::fulfill_terminal(Pending& p, Response::Status status,
   if (status != Response::Status::kRejected &&
       status != Response::Status::kInfeasible)
     r.stats.queue_time = elapsed_us(p.enqueued, now);
-  p.promise.set_value(std::move(r));
+  p.done(std::move(r), nullptr);
 }
 
 void Engine::take_expired_locked(Clock::time_point now,
@@ -371,6 +369,8 @@ void Engine::run_batch(std::vector<Pending>& batch) {
     std::lock_guard<std::mutex> lk(mu_);
     model = model_;
   }
+  Tensor out;
+  std::exception_ptr err;
   try {
     // Stack the batch into (n, sample dims...).
     const Shape& sshape = batch.front().sample.shape();
@@ -385,61 +385,56 @@ void Engine::run_batch(std::vector<Pending>& batch) {
                   batch[static_cast<std::size_t>(i)].sample.data(),
                   static_cast<std::size_t>(stride) * sizeof(float));
 
-    Tensor out = model->run(stacked);
-    const Clock::time_point done = Clock::now();
+    out = model->run(stacked);
     CRISP_CHECK(out.dim() >= 1 && out.size(0) == n,
                 "serve::Engine: model returned leading dimension "
                     << (out.dim() >= 1 ? out.size(0) : -1) << " for a batch of "
                     << n);
-
-    Shape oshape(out.shape().begin() + 1, out.shape().end());
-    const std::int64_t ostride = out.numel() / n;
-    const std::chrono::microseconds run_us = elapsed_us(formed, done);
-    std::int64_t seq = 0;
-    // Aggregate counters first, so a caller observing a fulfilled future
-    // already sees its request counted in stats().
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      seq = stats_.batches;
-      stats_.requests += n;
-      stats_.batches += 1;
-      stats_.max_batch = std::max(stats_.max_batch, n);
-      stats_.total_run_us +=
-          static_cast<double>(run_us.count()) * static_cast<double>(n);
-      for (std::int64_t i = 0; i < n; ++i)
-        stats_.total_queue_us += static_cast<double>(
-            elapsed_us(batch[static_cast<std::size_t>(i)].enqueued, formed)
-                .count());
-      const double run = static_cast<double>(run_us.count());
-      ema_run_us_ =
-          ema_run_us_ == 0.0 ? run
-                             : (1.0 - kEmaAlpha) * ema_run_us_ + kEmaAlpha * run;
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-      Pending& p = batch[static_cast<std::size_t>(i)];
-      Response r;
-      r.output = Tensor(oshape,
-                        std::vector<float>(out.data() + i * ostride,
-                                           out.data() + (i + 1) * ostride));
-      r.stats.queue_time = elapsed_us(p.enqueued, formed);
-      r.stats.run_time = run_us;
-      r.stats.batch_size = n;
-      r.stats.batch_seq = seq;
-      p.promise.set_value(std::move(r));
-    }
   } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    {
-      // Errored requests still waited in the queue; counting them into
-      // requests without their queue time would bias mean_queue_us low.
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.requests += n;
-      stats_.batches += 1;
-      for (const Pending& p : batch)
-        stats_.total_queue_us += static_cast<double>(
-            elapsed_us(p.enqueued, formed).count());
+    err = std::current_exception();
+  }
+  const std::chrono::microseconds run_us = elapsed_us(formed, Clock::now());
+
+  std::int64_t seq = 0;
+  // Aggregate counters first, so a caller observing a completed request
+  // already sees it counted in stats(). Errored requests count too: they
+  // still waited in the queue, and counting them into requests without
+  // their queue time would bias mean_queue_us low.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    seq = stats_.batches;
+    stats_.requests += n;
+    stats_.batches += 1;
+    for (const Pending& p : batch)
+      stats_.total_queue_us +=
+          static_cast<double>(elapsed_us(p.enqueued, formed).count());
+    if (!err) {
+      stats_.max_batch = std::max(stats_.max_batch, n);
+      const double run = static_cast<double>(run_us.count());
+      stats_.total_run_us += run * static_cast<double>(n);
+      ema_run_us_ = ema_run_us_ == 0.0
+                        ? run
+                        : (1.0 - kEmaAlpha) * ema_run_us_ + kEmaAlpha * run;
     }
-    for (Pending& p : batch) p.promise.set_exception(err);
+  }
+  if (err) {
+    for (Pending& p : batch) p.done(Response{}, err);
+    return;
+  }
+
+  Shape oshape(out.shape().begin() + 1, out.shape().end());
+  const std::int64_t ostride = out.numel() / n;
+  for (std::int64_t i = 0; i < n; ++i) {
+    Pending& p = batch[static_cast<std::size_t>(i)];
+    Response r;
+    r.output = Tensor(oshape,
+                      std::vector<float>(out.data() + i * ostride,
+                                         out.data() + (i + 1) * ostride));
+    r.stats.queue_time = elapsed_us(p.enqueued, formed);
+    r.stats.run_time = run_us;
+    r.stats.batch_size = n;
+    r.stats.batch_seq = seq;
+    p.done(std::move(r), nullptr);
   }
 }
 

@@ -4,10 +4,11 @@
 // answering a stream of latency-sensitive requests on a shared device
 // (CRISP §V, Fig. 9's latency story). Engine turns that stream into
 // efficient batched execution *and* keeps it schedulable under load:
-//   * submit() enqueues one sample and returns a std::future<Response> —
-//     any number of producer threads may call it concurrently. The richer
-//     submit(Request) overload carries a priority class and an optional
-//     deadline;
+//   * submit(Request, Completion) enqueues one sample with a priority
+//     class and an optional deadline, and calls the completion exactly
+//     once with its outcome; submit(Request) wraps that in a
+//     std::future<Response>. Any number of producer threads may submit
+//     concurrently;
 //   * a worker thread picks the earliest-deadline request of the most
 //     urgent non-empty class (EDF within a class; requests without a
 //     deadline order FIFO behind deadlined ones), then keeps coalescing
@@ -18,7 +19,7 @@
 //   * admission control refuses work the engine should not accept: a
 //     per-class queue-occupancy watermark (EngineOptions), and
 //     reject-on-deadline-infeasible against a running estimate of
-//     completion time. Refusals complete the future with an explicit
+//     completion time. Refusals complete the request with an explicit
 //     Response::Status instead of growing the queue;
 //   * load shedding keeps overload from becoming silent latency blowup:
 //     deadline-expired work is shed (kExpired) instead of served late, and
@@ -45,6 +46,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -64,7 +67,7 @@ namespace crisp::serve {
 /// scheduler, are the pressure valve (see docs/serving.md).
 enum class Priority : int {
   kInteractive = 0,  ///< user-facing, latency-sensitive; served first
-  kStandard = 1,     ///< the default class; what submit(Tensor) uses
+  kStandard = 1,     ///< the default class (Request's default)
   kBatch = 2,        ///< throughput work; first to be shed under load
 };
 /// Number of priority classes (size of per-class option arrays).
@@ -100,10 +103,8 @@ struct EngineOptions {
   ///            a shutdown() while parked wakes it and it throws
   ///            std::runtime_error (the engine waits for parked producers
   ///            to leave before tearing down, so destruction is safe).
-  ///   kReject: the submit is refused and counted in EngineStats::rejected
-  ///            — submit(Tensor) throws std::runtime_error (its historical
-  ///            contract), submit(Request) completes the future with
-  ///            Response::Status::kRejected. Nothing is enqueued.
+  ///   kReject: the submit is refused with Response::Status::kRejected
+  ///            and counted in EngineStats::rejected. Nothing is enqueued.
   /// Accepted requests are served under either policy — overflow only
   /// governs what happens at the admission edge. Open-loop producers
   /// (bench/loadgen.cpp) want kReject: kBlock turns them closed-loop.
@@ -133,12 +134,12 @@ struct EngineOptions {
   bool reject_infeasible = true;
 };
 
-/// One unit of serving work for submit(Request). The sample is unbatched
-/// (e.g. (C,H,W) or (features,)); the engine adds and strips the batch
-/// axis.
+/// One unit of serving work for submit(). The sample is unbatched (e.g.
+/// (C,H,W) or (features,)); the engine adds and strips the batch axis.
+/// `submit({sample})` serves it at kStandard with no deadline.
 struct Request {
   Tensor sample;
-  /// Scheduling class; see Priority. submit(Tensor) uses kStandard.
+  /// Scheduling class; see Priority.
   Priority priority = Priority::kStandard;
   /// Completion deadline relative to the submit call; zero (the default)
   /// means none. A deadlined request is refused at admission when already
@@ -193,8 +194,8 @@ struct Response {
                   ///< the tenant's personalization — tenant::Router's
                   ///< quarantine path for a delta that failed to load or
                   ///< compile; `output` is valid. The engine itself never
-                  ///< emits this; the router rewrites kOk on its fallback
-                  ///< bridge.
+                  ///< emits this; the router's fallback completion
+                  ///< rewrites kOk.
   };
   Status status = Status::kOk;
   /// This sample's output with the batch axis stripped: submitting (C,H,W)
@@ -205,22 +206,23 @@ struct Response {
 };
 
 /// Aggregate counters since construction (see Engine::stats()). Counters
-/// are updated before a request's future is fulfilled, so a caller that
+/// are updated before a request's completion runs, so a caller that
 /// observed its response already sees itself counted. The books balance:
 ///   submit attempts = accepted + rejected + infeasible
 ///   accepted        = requests + shed + expired + cancelled + still-queued
 /// (tests/test_serve_sched.cpp reconciles them after a drain).
 struct EngineStats {
-  /// Requests admitted into the queue (every future that was not refused
+  /// Requests admitted into the queue (every submit that was not refused
   /// at the admission edge).
   std::int64_t accepted = 0;
-  /// Served requests — fulfilled *or* errored (a bad-shape request that
-  /// fails its future still counts; it queued and ran). Non-served
-  /// terminal outcomes (shed/expired/cancelled) are NOT included.
+  /// Served requests — fulfilled *or* errored (a bad-shape request whose
+  /// completion gets the exception still counts; it queued and ran).
+  /// Non-served terminal outcomes (shed/expired/cancelled) are NOT
+  /// included.
   std::int64_t requests = 0;
   std::int64_t batches = 0;    ///< batched forwards run
   /// Submits refused at the admission edge for capacity: full queue under
-  /// Overflow::kReject (both submit overloads) or a class watermark band.
+  /// Overflow::kReject or a class watermark band.
   std::int64_t rejected = 0;
   /// Submits refused at the admission edge because the deadline had
   /// already passed or was estimated unmeetable (Status::kInfeasible).
@@ -263,20 +265,31 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Enqueues one unbatched sample (e.g. (C,H,W) or (features,)) at
-  /// Priority::kStandard with no deadline and returns a future that yields
-  /// its output and timings. Throws when the engine is shut down, when the
-  /// sample is empty, or — under Overflow::kReject — when the queue is
-  /// full (the historical contract; the Request overload reports the same
-  /// refusal as Status::kRejected instead). Thread-safe.
-  std::future<Response> submit(Tensor sample);
+  /// Receives the outcome of one request: its Response (any status) and a
+  /// null exception_ptr, or an empty Response and the exception its
+  /// forward threw (e.g. a sample the model's shapes reject).
+  using Completion = std::function<void(Response, std::exception_ptr)>;
 
-  /// Enqueues one prioritized, optionally deadlined request. Admission
-  /// refusals (watermark band, full queue under kReject, infeasible
-  /// deadline) complete the returned future immediately with the
-  /// corresponding non-kOk status — the only throws are misuse (empty
-  /// sample, submit after shutdown). Under Overflow::kBlock a full queue
-  /// with no displacement victim still parks the caller. Thread-safe.
+  /// Enqueues one prioritized, optionally deadlined request and calls
+  /// `done` exactly once with its outcome, unless submit itself throws.
+  /// Where it runs:
+  ///   * admission refusals (watermark band, full queue under kReject,
+  ///     infeasible deadline): on the calling thread, before submit
+  ///     returns;
+  ///   * a request displaced from a full queue (kShed): on the thread of
+  ///     the submit that displaced it;
+  ///   * every other outcome: on the worker.
+  /// It never runs under the engine lock, so it may read stats(). It must
+  /// not throw (on the worker, an escaping exception ends the process),
+  /// and should be quick: the worker completes a batch's requests one
+  /// after another. The only throws are misuse (empty sample,
+  /// null completion, submit after shutdown — also when shutdown wakes a
+  /// producer parked under Overflow::kBlock, which a full queue with no
+  /// displacement victim still does). Thread-safe.
+  void submit(Request request, Completion done);
+
+  /// submit(Request, Completion) with a completion that fulfils the
+  /// returned future: the response, or the forward's exception from get().
   std::future<Response> submit(Request request);
 
   /// What shutdown() does with requests still queued when it is called.
@@ -320,19 +333,18 @@ class Engine {
   struct Pending {
     Tensor sample;
     Priority priority = Priority::kStandard;
-    std::promise<Response> promise;
+    Completion done;
     Clock::time_point enqueued;
     /// Absolute deadline; time_point::max() when the request has none.
     Clock::time_point deadline = Clock::time_point::max();
   };
 
-  std::future<Response> submit_impl(Request request, bool legacy_throw);
   void worker_main();
   /// Runs `batch` (uniform shape, already removed from the queues) as one
-  /// forward and fulfills every promise (value or exception).
+  /// forward and completes every request (response or exception).
   void run_batch(std::vector<Pending>& batch);
   /// Completes a non-served request with `status` (no output). Called
-  /// outside mu_ — the promise is already detached from the queues.
+  /// outside mu_ — the request is already detached from the queues.
   static void fulfill_terminal(Pending& p, Response::Status status,
                                Clock::time_point now);
 

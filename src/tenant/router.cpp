@@ -15,7 +15,6 @@ Router::Router(std::shared_ptr<Store> store, RouterOptions options)
               "tenant::Router: cold_queue_depth must be >= 1, got "
                   << options_.cold_queue_depth);
   compiler_ = std::thread([this] { compiler_main(); });
-  forwarder_ = std::thread([this] { forwarder_main(); });
 }
 
 Router::~Router() { shutdown(); }
@@ -65,15 +64,8 @@ std::future<serve::Response> Router::submit(const std::string& tenant_id,
       to.set_value(std::move(r));
       return fut;
     }
-    Bridge b;
-    b.degraded = true;
-    b.from = fallback->submit(std::move(request));
-    b.to = std::move(to);
-    {
-      std::lock_guard<std::mutex> blk(bridge_mu_);
-      bridges_.push_back(std::move(b));
-    }
-    cv_bridge_.notify_all();
+    fallback->submit(std::move(request),
+                     complete_into(std::move(to), /*degraded=*/true));
     return fut;
   }
 
@@ -135,7 +127,7 @@ void Router::compiler_main() {
     // not stall behind it. Any exception out of the delta apply / overlay
     // compile (corrupt stream, allocation failure, an injected fault) is
     // contained here: one bounded-backoff retry, then quarantine + the
-    // base-model fallback. The worker thread itself never dies, and no
+    // base-model fallback. The compiler thread itself never dies, and no
     // parked future is ever left broken.
     std::shared_ptr<serve::Engine> retired;
     std::shared_ptr<serve::Engine> fallback;
@@ -182,11 +174,6 @@ void Router::compiler_main() {
         lk.unlock();
       }
     }
-    // The retired engine drains (Drain::kServe) on destruction, outside
-    // the lock; a hot submitter holding its own reference defers that
-    // drain until its submit returns.
-    retired.reset();
-
     std::vector<ColdRequest> flush;
     lk.lock();
     auto pit = pending_.find(id);
@@ -198,8 +185,6 @@ void Router::compiler_main() {
 
     const Clock::time_point now = Clock::now();
     std::int64_t expired = 0;
-    std::vector<Bridge> built;
-    built.reserve(flush.size());
     serve::Engine* target = engine ? engine.get() : fallback.get();
     for (ColdRequest& cr : flush) {
       if (target == nullptr) {
@@ -225,46 +210,38 @@ void Router::compiler_main() {
         }
         cr.request.deadline -= waited;
       }
-      Bridge b;
-      b.degraded = engine == nullptr;
-      b.from = target->submit(std::move(cr.request));
-      b.to = std::move(cr.promise);
-      built.push_back(std::move(b));
+      target->submit(std::move(cr.request),
+                     complete_into(std::move(cr.promise), engine == nullptr));
     }
     if (expired > 0) {
       std::lock_guard<std::mutex> slk(mu_);
       stats_.cold_expired += expired;
     }
-    if (!built.empty()) {
-      std::lock_guard<std::mutex> blk(bridge_mu_);
-      for (Bridge& b : built) bridges_.push_back(std::move(b));
-      cv_bridge_.notify_all();
-    }
+    // Only now drop the retired engine: its destructor drains its whole
+    // queue (Drain::kServe) on this thread, and the requests just flushed
+    // must not wait behind another tenant's backlog. A hot submitter
+    // holding its own reference defers that drain until its submit returns.
+    retired.reset();
   }
 }
 
-void Router::forwarder_main() {
-  for (;;) {
-    std::unique_lock<std::mutex> lk(bridge_mu_);
-    cv_bridge_.wait(lk, [&] { return bridge_stopping_ || !bridges_.empty(); });
-    if (bridges_.empty()) return;  // stopping and drained
-    Bridge b = std::move(bridges_.front());
-    bridges_.pop_front();
-    lk.unlock();
-    try {
-      serve::Response r = b.from.get();
-      if (b.degraded && r.status == serve::Response::Status::kOk) {
-        // Served, but from the shared base instead of the tenant's
-        // personalization — the caller must be able to tell.
-        r.status = serve::Response::Status::kDegraded;
-        std::lock_guard<std::mutex> slk(mu_);
-        ++stats_.degraded;
-      }
-      b.to.set_value(std::move(r));
-    } catch (...) {
-      b.to.set_exception(std::current_exception());
+serve::Engine::Completion Router::complete_into(
+    std::promise<serve::Response> to, bool degraded) {
+  auto promise = std::make_shared<std::promise<serve::Response>>(std::move(to));
+  return [this, promise, degraded](serve::Response r, std::exception_ptr err) {
+    if (err) {
+      promise->set_exception(std::move(err));
+      return;
     }
-  }
+    if (degraded && r.status == serve::Response::Status::kOk) {
+      // Served, but from the shared base instead of the tenant's
+      // personalization — the caller must be able to tell.
+      r.status = serve::Response::Status::kDegraded;
+      std::lock_guard<std::mutex> lk(mu_);
+      ++stats_.degraded;
+    }
+    promise->set_value(std::move(r));
+  };
 }
 
 std::shared_ptr<serve::Engine> Router::ensure_fallback() {
@@ -322,8 +299,7 @@ void Router::shutdown() {
 
   // Retire every engine — the fallback included: drop the pool's
   // references and let the destructors drain accepted work
-  // (Drain::kServe). Done before the forwarder join so every bridged
-  // future completes.
+  // (Drain::kServe), so every request that reached an engine completes.
   std::unordered_map<std::string, EngineSlot> engines;
   std::shared_ptr<serve::Engine> fallback;
   {
@@ -336,13 +312,6 @@ void Router::shutdown() {
   }
   engines.clear();
   fallback.reset();
-
-  {
-    std::lock_guard<std::mutex> lk(bridge_mu_);
-    bridge_stopping_ = true;
-    cv_bridge_.notify_all();
-  }
-  if (forwarder_.joinable()) forwarder_.join();
 }
 
 bool Router::refresh_tenant(const std::string& tenant_id) {

@@ -15,9 +15,12 @@
 //     spent waiting, so serve::Engine's admission control (priorities,
 //     deadline expiry/infeasibility — serve/engine.h) stays honest
 //     end-to-end;
-//   * a forwarder thread that bridges engine futures back to the futures
-//     handed out at submit time, so callers see one uniform
-//     std::future<serve::Response> whether they hit hot or cold;
+//   * one completion path: a cold or fallback request reaches its engine
+//     through serve::Engine::submit(Request, Completion), whose completion
+//     fulfils the future handed out at submit time — so callers see one
+//     uniform std::future<serve::Response> whether they hit hot or cold,
+//     and one tenant's slow engine never holds back another's reply. The
+//     compiler is the router's only thread;
 //   * graceful degradation instead of crashes: a cold compile that throws
 //     (corrupt delta, allocation failure — anything) is retried once with
 //     bounded backoff, and if it fails again the tenant is *quarantined* —
@@ -117,9 +120,9 @@ class Router {
   bool refresh_tenant(const std::string& tenant_id);
 
   /// Stops accepting submissions, cancels parked cold requests
-  /// (kCancelled), drains and retires every resident engine
-  /// (Drain::kServe — already-accepted work completes), and joins the
-  /// router threads. Idempotent.
+  /// (kCancelled), joins the compiler thread, then drains and retires
+  /// every resident engine (Drain::kServe — already-accepted work
+  /// completes). Idempotent.
   void shutdown();
 
   RouterStats stats() const;
@@ -139,17 +142,14 @@ class Router {
     std::promise<serve::Response> promise;
     Clock::time_point submitted;
   };
-  /// An engine future bridged back to a cold submit's promise. `degraded`
-  /// marks a base-model fallback serve: the forwarder rewrites kOk to
-  /// kDegraded so the caller knows the personalization was bypassed.
-  struct Bridge {
-    std::future<serve::Response> from;
-    std::promise<serve::Response> to;
-    bool degraded = false;
-  };
-
   void compiler_main();
-  void forwarder_main();
+  /// Completion that fulfils `to` with an engine's outcome. `degraded`
+  /// marks a base-model fallback serve: kOk becomes kDegraded (counted in
+  /// RouterStats::degraded) so the caller knows the personalization was
+  /// bypassed. Runs on the engine's worker or, for an admission refusal,
+  /// on the submitting thread — never under mu_.
+  serve::Engine::Completion complete_into(std::promise<serve::Response> to,
+                                          bool degraded);
   /// Retires the coldest engine past the cap. Requires mu_; returns the
   /// retired engine so the caller drains it outside the lock.
   std::shared_ptr<serve::Engine> enforce_engine_cap_locked();
@@ -175,15 +175,9 @@ class Router {
   bool stopping_ = false;
   RouterStats stats_;
 
-  std::mutex bridge_mu_;
-  std::condition_variable cv_bridge_;
-  std::deque<Bridge> bridges_;
-  bool bridge_stopping_ = false;
-
   std::mutex shutdown_mu_;  ///< serializes shutdown() callers (joins)
 
   std::thread compiler_;
-  std::thread forwarder_;
 };
 
 }  // namespace crisp::tenant

@@ -273,9 +273,10 @@ TEST(CrispStc, EnergyEfficiencyBeatsBaselines) {
     // Against DSTC the per-layer win requires block pruning to have room:
     // layers with only a handful of block columns fall back to N:M alone
     // and can locally lose to unstructured dual-side skipping.
-    if (row.workload.k >= 4 * row.profile.block)
+    if (row.workload.k >= 4 * row.profile.block) {
       EXPECT_GT(row.crisp_energy_eff(), row.dstc_energy_eff())
           << row.workload.name;
+    }
     best_crisp = std::max(best_crisp, row.crisp_energy_eff());
     total_dense += row.dense.energy_pj;
     total_nvidia += row.nvidia.energy_pj;

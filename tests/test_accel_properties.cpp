@@ -214,8 +214,12 @@ TEST(Dse, ParetoFrontIsExactlyTheNonDominatedSet) {
     // Non-dominated <=> on the front (ties collapse to one representative,
     // so check the cheap direction: front members are never dominated and
     // dominated points are never front members).
-    if (on_front) EXPECT_FALSE(dominated) << "front point " << i << " dominated";
-    if (dominated) EXPECT_FALSE(on_front) << "dominated point " << i << " on front";
+    if (on_front) {
+      EXPECT_FALSE(dominated) << "front point " << i << " dominated";
+    }
+    if (dominated) {
+      EXPECT_FALSE(on_front) << "dominated point " << i << " on front";
+    }
   }
 }
 

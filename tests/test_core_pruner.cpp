@@ -222,8 +222,11 @@ TEST(CrispPruner, BakeZeroesMaskedWeights) {
   pruner.run(fx.user_train, rng);
   pruner.bake();
   for (nn::Parameter* p : fx.model->prunable_parameters())
-    for (std::int64_t i = 0; i < p->mask.numel(); ++i)
-      if (p->mask[i] == 0.0f) EXPECT_EQ(p->value[i], 0.0f);
+    for (std::int64_t i = 0; i < p->mask.numel(); ++i) {
+      if (p->mask[i] == 0.0f) {
+        EXPECT_EQ(p->value[i], 0.0f);
+      }
+    }
 }
 
 TEST(CrispPruner, PureNmMode) {

@@ -280,8 +280,9 @@ TEST(Criteria, AutoSelectorDeterministicAndRestoresModel) {
     for (const auto& [name, t] : before) {
       auto it = after.find(name);
       EXPECT_NE(it, after.end()) << name;
-      if (it != after.end())
+      if (it != after.end()) {
         EXPECT_EQ(max_diff(t, it->second), 0.0f) << name;
+      }
     }
     return sel;
   };

@@ -408,10 +408,12 @@ TEST(SimdDispatch, RejectsUnavailableTier) {
   // At most one SIMD tier exists per architecture/build, so anything other
   // than scalar and the supported tier must be rejected.
   const Tier sup = kernels::simd::supported_tier();
-  if (sup != Tier::kAvx2)
+  if (sup != Tier::kAvx2) {
     EXPECT_THROW(kernels::simd::set_tier(Tier::kAvx2), std::runtime_error);
-  if (sup != Tier::kNeon)
+  }
+  if (sup != Tier::kNeon) {
     EXPECT_THROW(kernels::simd::set_tier(Tier::kNeon), std::runtime_error);
+  }
   EXPECT_EQ(kernels::simd::active_tier(), kernels::simd::active().tier);
 }
 

@@ -229,8 +229,8 @@ TEST(Engine, QuantizedEngineParityWithFp32Engine) {
     for (int i = 0; i < kRequests; ++i) {
       const Tensor sample =
           random_sample(static_cast<std::uint64_t>(4000 + i), {32});
-      ffp.push_back(fp32_engine.submit(sample));
-      fq.push_back(q_engine.submit(sample));
+      ffp.push_back(fp32_engine.submit({sample}));
+      fq.push_back(q_engine.submit({sample}));
     }
 
     Tensor stacked({kRequests, 8});
@@ -269,7 +269,7 @@ TEST(Engine, SingleRequestMatchesSerial) {
   auto compiled = CompiledModel::compile(make_convnet());
   Engine engine(compiled);
   const Tensor sample = random_sample(11, {3, 8, 8});
-  Response r = engine.submit(sample).get();
+  Response r = engine.submit({sample}).get();
   const Tensor want = serial_reference(*compiled, sample);
   ASSERT_TRUE(r.output.same_shape(want));
   EXPECT_FLOAT_EQ(max_abs_diff(r.output, want), 0.0f);
@@ -292,8 +292,8 @@ TEST(Engine, ConcurrentProducersBitIdenticalToSerial) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         futures[static_cast<std::size_t>(p)].push_back(engine.submit(
-            random_sample(static_cast<std::uint64_t>(100 + p * 1000 + i),
-                          {3, 8, 8})));
+            {random_sample(static_cast<std::uint64_t>(100 + p * 1000 + i),
+                           {3, 8, 8})}));
       }
     });
   }
@@ -334,7 +334,7 @@ TEST(Engine, MixedShapeRequestsAreGroupedNotDropped) {
   for (int i = 0; i < 24; ++i) {
     samples.push_back(random_sample(static_cast<std::uint64_t>(500 + i),
                                     shapes[i % 3]));
-    futures.push_back(engine.submit(samples.back()));
+    futures.push_back(engine.submit({samples.back()}));
   }
   for (int i = 0; i < 24; ++i) {
     Response r = futures[static_cast<std::size_t>(i)].get();
@@ -361,7 +361,8 @@ TEST(Engine, PackedModelServesWithinKernelRounding) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 32; ++i)
     futures.push_back(
-        engine.submit(random_sample(static_cast<std::uint64_t>(900 + i), {32})));
+        engine.submit({random_sample(static_cast<std::uint64_t>(900 + i),
+                                     {32})}));
   for (int i = 0; i < 32; ++i) {
     Response r = futures[static_cast<std::size_t>(i)].get();
     const Tensor want = serial_reference(
@@ -374,7 +375,7 @@ TEST(Engine, PackedModelServesWithinKernelRounding) {
   }
 }
 
-TEST(Engine, RejectPolicyThrowsAtFullQueue) {
+TEST(Engine, RejectPolicyRefusesAtFullQueue) {
   auto compiled = CompiledModel::compile(make_convnet());
   EngineOptions opts;
   opts.max_batch = 1;  // one request per forward
@@ -385,16 +386,23 @@ TEST(Engine, RejectPolicyThrowsAtFullQueue) {
 
   // A heavyweight first request keeps the worker busy for milliseconds
   // while microsecond-scale submits flood the bounded queue behind it, so
-  // a rejection is guaranteed long before the backlog drains.
+  // a rejection is guaranteed long before the backlog drains. A refusal
+  // completes its future with kRejected before submit returns.
   std::vector<std::future<Response>> futures;
-  futures.push_back(engine.submit(random_sample(1, {3, 192, 192})));
+  futures.push_back(engine.submit({random_sample(1, {3, 192, 192})}));
   bool rejected = false;
   for (int i = 0; i < 64 && !rejected; ++i) {
-    try {
-      futures.push_back(engine.submit(
-          random_sample(static_cast<std::uint64_t>(10 + i), {3, 8, 8})));
-    } catch (const std::runtime_error&) {
-      rejected = true;
+    std::future<Response> f = engine.submit(
+        {random_sample(static_cast<std::uint64_t>(10 + i), {3, 8, 8})});
+    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      const Response r = f.get();
+      if (r.status == Response::Status::kRejected) {
+        rejected = true;
+        continue;
+      }
+      EXPECT_EQ(r.status, Response::Status::kOk);
+    } else {
+      futures.push_back(std::move(f));
     }
   }
   EXPECT_TRUE(rejected);
@@ -414,7 +422,8 @@ TEST(Engine, BlockPolicyAbsorbsBursts) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i)
     futures.push_back(
-        engine.submit(random_sample(static_cast<std::uint64_t>(i), {32})));
+        engine.submit({random_sample(static_cast<std::uint64_t>(i),
+                                     {32})}));
   for (int i = 0; i < 20; ++i) {
     Response r = futures[static_cast<std::size_t>(i)].get();
     const Tensor want = serial_reference(
@@ -435,7 +444,8 @@ TEST(Engine, ShutdownDrainsInFlightWork) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 12; ++i)
     futures.push_back(
-        engine.submit(random_sample(static_cast<std::uint64_t>(i), {32})));
+        engine.submit({random_sample(static_cast<std::uint64_t>(i),
+                                     {32})}));
   engine.shutdown();
 
   for (int i = 0; i < 12; ++i) {
@@ -444,7 +454,7 @@ TEST(Engine, ShutdownDrainsInFlightWork) {
         *compiled, random_sample(static_cast<std::uint64_t>(i), {32}));
     EXPECT_FLOAT_EQ(max_abs_diff(r.output, want), 0.0f) << "request " << i;
   }
-  EXPECT_THROW(engine.submit(random_sample(99, {32})), std::runtime_error);
+  EXPECT_THROW(engine.submit({random_sample(99, {32})}), std::runtime_error);
   EXPECT_EQ(engine.stats().requests, 12);
 }
 
@@ -464,12 +474,12 @@ TEST(Engine, ShutdownReleasesBlockedSubmitters) {
   {
     Engine engine(compiled, opts);
     // Heavy head request keeps the worker busy; the queue behind it fills.
-    futures.push_back(engine.submit(random_sample(1, {3, 192, 192})));
+    futures.push_back(engine.submit({random_sample(1, {3, 192, 192})}));
     std::thread producer([&] {
       for (int i = 0; i < 4; ++i) {
         try {
           futures.push_back(engine.submit(
-              random_sample(static_cast<std::uint64_t>(20 + i), {3, 8, 8})));
+              {random_sample(static_cast<std::uint64_t>(20 + i), {3, 8, 8})}));
         } catch (const std::runtime_error&) {
           ++refused;  // woken by shutdown while parked (or submitted after)
         }
@@ -492,8 +502,8 @@ TEST(Engine, BadShapeRequestFailsItsFutureOnly) {
   opts.flush_timeout = std::chrono::microseconds(0);
   Engine engine(compiled, opts);
 
-  auto bad = engine.submit(random_sample(1, {7}));  // fc1 wants 32 features
-  auto good = engine.submit(random_sample(2, {32}));
+  auto bad = engine.submit({random_sample(1, {7})});  // fc1 wants 32 features
+  auto good = engine.submit({random_sample(2, {32})});
   EXPECT_THROW(bad.get(), std::exception);
   EXPECT_NO_THROW(good.get());
 }
@@ -518,12 +528,12 @@ TEST(Engine, TwoEnginesShareOneCompiledModel) {
   std::thread ta([&] {
     for (int i = 0; i < 16; ++i)
       fa.push_back(a.submit(
-          random_sample(static_cast<std::uint64_t>(3000 + i), {3, 8, 8})));
+          {random_sample(static_cast<std::uint64_t>(3000 + i), {3, 8, 8})}));
   });
   std::thread tb([&] {
     for (int i = 0; i < 16; ++i)
       fb.push_back(b.submit(
-          random_sample(static_cast<std::uint64_t>(3000 + i), {3, 8, 8})));
+          {random_sample(static_cast<std::uint64_t>(3000 + i), {3, 8, 8})}));
   });
   ta.join();
   tb.join();

@@ -17,9 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -392,7 +395,7 @@ TEST(Scheduling, CancelDrainGivesQueuedWorkExplicitStatus) {
     EXPECT_TRUE(r.output.empty());
     EXPECT_EQ(r.stats.batch_seq, -1);
   }
-  EXPECT_THROW(engine.submit(random_sample(99, {3, 8, 8})),
+  EXPECT_THROW(engine.submit({random_sample(99, {3, 8, 8})}),
                std::runtime_error);
 
   const EngineStats s = engine.stats();
@@ -448,6 +451,156 @@ TEST(Scheduling, StatsLedgerReconcilesAfterDrain) {
   EXPECT_EQ(s.accepted, s.requests + s.shed + s.expired + s.cancelled);
   EXPECT_GT(s.rejected + s.shed + s.expired, 0)
       << "scenario failed to exercise any shedding path";
+}
+
+/// Records every call of the completions it hands out, one slot per
+/// submit. Each completion first calls engine.stats(): the engine mutex is
+/// not recursive, so a completion invoked under it deadlocks instead of
+/// passing.
+class CompletionLog {
+ public:
+  struct Call {
+    int count = 0;
+    Response::Status status = Response::Status::kOk;
+    std::exception_ptr error;
+    std::thread::id thread;
+  };
+
+  /// Submits `request` to `engine` with a completion logged in a new slot;
+  /// returns the slot.
+  std::size_t submit(Engine& engine, Request request) {
+    std::size_t slot = 0;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      slot = calls_.size();
+      calls_.emplace_back();
+    }
+    engine.submit(std::move(request),
+                  [this, &engine, slot](Response r, std::exception_ptr err) {
+                    (void)engine.stats();
+                    std::lock_guard<std::mutex> lk(mu_);
+                    Call& c = calls_[slot];
+                    ++c.count;
+                    c.status = r.status;
+                    c.error = std::move(err);
+                    c.thread = std::this_thread::get_id();
+                    cv_.notify_all();
+                  });
+    return slot;
+  }
+
+  /// The slot's record once its completion has run at least once.
+  Call wait(std::size_t slot) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return calls_[slot].count > 0; });
+    return calls_[slot];
+  }
+
+  /// Every slot's record as it stands now.
+  std::vector<Call> calls() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return calls_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Call> calls_;
+};
+
+// submit(Request, Completion) calls the completion exactly once for every
+// outcome: served, refused at admission (watermark band, full queue,
+// infeasible deadline), expired, shed, cancelled, and a forward that
+// throws. Refusals complete on the submitting thread before submit
+// returns, and a displaced request on the thread of the submit that
+// displaced it; the rest complete on the worker. No completion runs under
+// the engine lock (see CompletionLog).
+TEST(Scheduling, CompletionRunsOnceOutsideTheLockForEveryOutcome) {
+  using S = Response::Status;
+  auto compiled = CompiledModel::compile(make_convnet());
+  const auto small = [](std::uint64_t seed) {
+    return random_sample(seed, {3, 8, 8});
+  };
+  const std::thread::id here = std::this_thread::get_id();
+  CompletionLog log;
+  std::vector<S> want;  // expected status per slot
+
+  // Queue-side outcomes, behind a busy worker. The infeasibility check is
+  // off so the short deadline is accepted and then expires in the queue.
+  EngineOptions opts;
+  opts.max_batch = 1;
+  opts.queue_depth = 4;
+  opts.flush_timeout = std::chrono::microseconds(0);
+  opts.overflow = EngineOptions::Overflow::kReject;
+  opts.reject_infeasible = false;
+  opts.admission_watermark[static_cast<int>(Priority::kBatch)] = 0.5;
+  {
+    Engine engine(compiled, opts);
+    log.submit(engine, make_request(blocker_sample(11), Priority::kStandard));
+    want.push_back(S::kOk);
+    let_worker_pick_up_blocker();
+    log.submit(engine, make_request(small(1), Priority::kStandard,
+                                    std::chrono::milliseconds(1)));
+    want.push_back(S::kExpired);
+    log.submit(engine, make_request(small(2), Priority::kBatch));
+    want.push_back(S::kShed);  // displaced by the second kInteractive below
+    // Watermark floor 0.5 * 4 = 2 queued: the next kBatch is refused.
+    const std::size_t band =
+        log.submit(engine, make_request(small(3), Priority::kBatch));
+    want.push_back(S::kRejected);
+    EXPECT_EQ(log.calls()[band].count, 1) << "refusal completes in submit";
+    log.submit(engine, make_request(small(4), Priority::kStandard));
+    want.push_back(S::kOk);
+    log.submit(engine, make_request(small(5), Priority::kInteractive));
+    want.push_back(S::kOk);
+    log.submit(engine, make_request(small(6), Priority::kInteractive));
+    want.push_back(S::kOk);
+    // Full queue, and no class less urgent than kStandard left to displace.
+    const std::size_t full =
+        log.submit(engine, make_request(small(7), Priority::kStandard));
+    want.push_back(S::kRejected);
+    EXPECT_EQ(log.calls()[full].count, 1) << "refusal completes in submit";
+    EXPECT_EQ(engine.stats().rejected, 2);
+  }
+
+  // Admission against a run-time estimate, a throwing forward, and a
+  // cancelling shutdown.
+  opts = EngineOptions{};
+  opts.max_batch = 1;
+  opts.flush_timeout = std::chrono::microseconds(0);
+  Engine engine(compiled, opts);
+  const std::size_t seeded =
+      log.submit(engine, make_request(blocker_sample(12), Priority::kStandard));
+  want.push_back(S::kOk);
+  log.wait(seeded);  // the engine now has a tens-of-ms run-time estimate
+  const std::size_t infeasible = log.submit(
+      engine, make_request(small(8), Priority::kStandard,
+                           std::chrono::milliseconds(1)));
+  want.push_back(S::kInfeasible);
+  EXPECT_EQ(log.calls()[infeasible].count, 1) << "refusal completes in submit";
+  // conv1 expects 3 input channels, so this forward throws.
+  const std::size_t bad = log.submit(
+      engine, make_request(random_sample(9, {4, 8, 8}), Priority::kStandard));
+  want.push_back(S::kOk);  // status of the empty Response beside the error
+  EXPECT_NE(log.wait(bad).error, nullptr);
+  log.submit(engine, make_request(blocker_sample(13), Priority::kStandard));
+  want.push_back(S::kOk);
+  let_worker_pick_up_blocker();
+  log.submit(engine, make_request(small(10), Priority::kStandard));
+  want.push_back(S::kCancelled);
+  engine.shutdown(Engine::Drain::kCancel);
+
+  const std::vector<CompletionLog::Call> calls = log.calls();
+  ASSERT_EQ(calls.size(), want.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE("slot " + std::to_string(i));
+    EXPECT_EQ(calls[i].count, 1);
+    EXPECT_EQ(calls[i].status, want[i]);
+    EXPECT_EQ(calls[i].error != nullptr, i == bad);
+    const bool in_submit = want[i] == S::kRejected ||
+                           want[i] == S::kInfeasible || want[i] == S::kShed;
+    EXPECT_EQ(calls[i].thread == here, in_submit);
+  }
 }
 
 // Scheduling never changes the math: under the priority-aware worker,

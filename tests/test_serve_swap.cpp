@@ -61,13 +61,13 @@ TEST(EngineSwap, SwapServesNewModelAndKeepsOldResponsesValid) {
 
   Engine engine(modelA);
   EXPECT_EQ(engine.model().get(), modelA.get());
-  Response before = engine.submit(Tensor(x)).get();
+  Response before = engine.submit({x}).get();
   ASSERT_EQ(before.status, Response::Status::kOk);
   EXPECT_FLOAT_EQ(max_abs_diff(before.output, refA), 0.0f);
 
   engine.swap_model(modelB);
   EXPECT_EQ(engine.model().get(), modelB.get());
-  Response after = engine.submit(Tensor(x)).get();
+  Response after = engine.submit({x}).get();
   ASSERT_EQ(after.status, Response::Status::kOk);
   EXPECT_FLOAT_EQ(max_abs_diff(after.output, refB), 0.0f);
 

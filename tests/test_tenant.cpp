@@ -832,6 +832,54 @@ TEST(Router, RefreshTenantHotSwapsResidentEngine) {
   EXPECT_THROW(router.refresh_tenant("t1"), std::runtime_error);
 }
 
+// One tenant's deep backlog must not delay another tenant's reply: a cold
+// request for B completes while A still has ~1000x B's work queued, both
+// when B's engine build retires A's engine (cap 1: the retired engine
+// drains only after B's parked request is flushed) and when both stay
+// resident (cap 4: each reply completes on its own engine's worker, not
+// in submission order across tenants).
+TEST(Router, SlowTenantDoesNotDelayAnother) {
+  auto base = make_base(make_convnet, 0);
+  auto store = std::make_shared<Store>(base, make_convnet);
+  constexpr int kBacklog = 1000;
+
+  for (const std::int64_t cap : {1, 4}) {
+    SCOPED_TRACE("max_engines = " + std::to_string(cap));
+    // Fresh tenants per round, so neither is already compiled in the Store.
+    const std::string a = "A" + std::to_string(cap);
+    const std::string b = "B" + std::to_string(cap);
+    store->register_tenant(a, tenant_delta(*base, make_convnet, 0, 1));
+    store->register_tenant(b, tenant_delta(*base, make_convnet, 0, 2));
+    RouterOptions opts;
+    opts.max_engines = cap;
+    opts.engine.max_batch = 1;  // one forward per request: work = count
+    opts.engine.queue_depth = 2 * kBacklog;
+    opts.engine.flush_timeout = std::chrono::microseconds(0);
+    opts.engine.thread_budget = 1;  // forwards stay on each engine's worker
+    opts.cold_queue_depth = 2 * kBacklog;
+    opts.compile_retry_backoff = std::chrono::milliseconds(100);
+    Router router(store, opts);
+
+    // A's first compile fails once, so its whole backlog parks behind the
+    // retry backoff and reaches A's engine through the cold flush.
+    crisp::testing::arm_fault("store.compile", /*nth=*/0, /*times=*/1);
+    const Tensor sample = random_sample(90, {3, 32, 32});
+    std::vector<std::future<serve::Response>> backlog;
+    for (int i = 0; i < kBacklog; ++i)
+      backlog.push_back(router.submit(a, make_request(sample)));
+    auto cold = router.submit(b, make_request(sample));
+
+    ASSERT_EQ(cold.get().status, serve::Response::Status::kOk);
+    EXPECT_NE(backlog.back().wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "B's reply waited for A's whole backlog";
+    for (auto& f : backlog)
+      EXPECT_EQ(f.get().status, serve::Response::Status::kOk);
+    crisp::testing::reset_faults();
+    EXPECT_EQ(router.stats().compile_retries, 1);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation: compile failures, quarantine, base-model fallback.
 
@@ -926,7 +974,7 @@ TEST(Router, QuarantineUnderConcurrentLoadCompletesEveryFuture) {
   // Quarantine "bad" deterministically first, then hammer both tenants
   // from concurrent producers. The contract under test: every future
   // completes with a status — zero exceptions out of .get(), degraded and
-  // healthy traffic interleaved freely (TSan covers the bridge path).
+  // healthy traffic interleaved freely (TSan covers the completion path).
   crisp::testing::arm_fault("store.compile", 0, /*times=*/2);
   serve::Response first =
       router.submit("bad", make_request(random_sample(80, {32}))).get();
