@@ -1,13 +1,13 @@
 // Kernel microbenchmarks (google-benchmark): CPU GEMM/SpMM throughput of
 // every storage format on a hybrid-pruned ResNet-50-shaped layer, swept
 // over the kernel-layer thread count (the Arg is kernels::set_num_threads).
-// Not a paper figure, and no proof that the CRISP layout is fast on CPUs:
-// in the committed BENCH_kernels.json (1 core, single thread) CRISP SpMM
-// takes 155.7 us, ahead of dense GEMM (385.5 us), masked dense GEMM
-// (219.0 us) and Blocked-ELL (574.9 us) but behind CSR (123.0 us) and
-// ELLPACK (148.3 us) — its per-slot overhead outweighs the metadata it
-// saves. Also the measurement behind the "threading helps, it isn't
-// asserted" claim.
+// Not a paper figure: in the committed BENCH_kernels.json (4-vCPU host,
+// single thread, P = 64) CRISP SpMM takes 97.1 us, ahead of CSR
+// (151.4 us), ELLPACK (129.7 us), masked dense GEMM (214.9 us), dense GEMM
+// (408.2 us) and Blocked-ELL (580.8 us); its int8 payload takes 123.2 us.
+// The vCPUs of that host switch between two clock speeds, so single
+// entries move by up to ~1.5x between runs. Also the measurement behind the
+// "threading helps, it isn't asserted" claim.
 //
 // The *Scalar single-thread variants force the scalar dispatch tier, so
 // one JSON records the SIMD-vs-scalar speedup next to the thread sweep
@@ -22,11 +22,18 @@
 //                   --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "deploy/packed_model.h"
 #include "kernels/parallel_for.h"
 #include "kernels/simd_dispatch.h"
+#include "nn/linear.h"
+#include "nn/sequential.h"
 #include "sparse/metadata.h"
 #include "sparse/nm.h"
 #include "sparse/spmm.h"
+#include "tenant/overlay.h"
 #include "tensor/matmul.h"
 
 namespace {
@@ -202,7 +209,7 @@ void BM_CrispSpmmScalar(benchmark::State& state) {
 BENCHMARK(BM_CrispSpmmScalar)->ArgName("threads")->Arg(1)->UseRealTime();
 
 void BM_CrispSpmmQuantized(benchmark::State& state) {
-  // The int8 payload path (dequantize-on-the-fly axpy_i8): same metadata,
+  // The int8 payload path (dequantized inside crisp_block_i8): same metadata,
   // a quarter of the weight-value bytes. The payload counters record the
   // bandwidth story next to the timing one.
   const Tensor w = hybrid_weights(2, 4, 0.875);
@@ -218,6 +225,102 @@ void BM_CrispSpmmQuantized(benchmark::State& state) {
   run_spmm(state, cm, cm.slot_count() * kBatch);
 }
 BENCHMARK(BM_CrispSpmmQuantized)->Apply(thread_sweep);
+
+// ---- per-layer entries at serving batch sizes --------------------------------
+// The BM_CrispSpmm layer at the batches serving runs (the fleet serves
+// almost every request at batch 1): masked dense GEMM, CRISP fp32, CRISP
+// int8, and a tenant overlay of the fp32 base that keeps all but one
+// surviving block per block-row. One thread, batch P as the first arg.
+
+void layer_batches(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"p", "threads"});
+  b->UseRealTime();
+  for (const int p : {1, 16}) b->Args({p, 1});
+}
+
+/// Times `spmm(x, y)` on a kCols x P activation panel.
+template <typename Spmm>
+void run_layer(benchmark::State& state, Spmm&& spmm) {
+  const std::int64_t p = state.range(0);
+  kernels::set_num_threads(1);
+  Rng rng(9);
+  const Tensor x = Tensor::randn({kCols, p}, rng);
+  Tensor y({kRows, p});
+  label_tier(state);
+  for (auto _ : state) {
+    spmm(as_matrix(x, kCols, p), as_matrix(y, kRows, p));
+    benchmark::DoNotOptimize(y.data());
+  }
+  kernels::set_num_threads(0);
+}
+
+void BM_LayerMaskedDense(benchmark::State& state) {
+  const Tensor w = hybrid_weights(2, 4, 0.875);
+  run_layer(state, [&](ConstMatrixView x, MatrixView y) {
+    matmul(as_matrix(w, kRows, kCols), x, y);
+  });
+}
+BENCHMARK(BM_LayerMaskedDense)->Apply(layer_batches);
+
+void BM_LayerCrisp(benchmark::State& state) {
+  const Tensor w = hybrid_weights(2, 4, 0.875);
+  const auto cm =
+      sparse::CrispMatrix::encode(as_matrix(w, kRows, kCols), kBlock, 2, 4);
+  run_layer(state, [&](ConstMatrixView x, MatrixView y) { cm.spmm(x, y); });
+}
+BENCHMARK(BM_LayerCrisp)->Apply(layer_batches);
+
+void BM_LayerCrispInt8(benchmark::State& state) {
+  const Tensor w = hybrid_weights(2, 4, 0.875);
+  auto cm =
+      sparse::CrispMatrix::encode(as_matrix(w, kRows, kCols), kBlock, 2, 4);
+  cm.quantize_payload();
+  cm.release_fp32_payload();
+  run_layer(state, [&](ConstMatrixView x, MatrixView y) { cm.spmm(x, y); });
+}
+BENCHMARK(BM_LayerCrispInt8)->Apply(layer_batches);
+
+/// Zeroes one surviving block per block-row of `mask` (rows x cols).
+void drop_one_block_per_row(Tensor& mask) {
+  const sparse::BlockGrid grid{kRows, kCols, kBlock};
+  for (std::int64_t br = 0; br < grid.grid_rows(); ++br) {
+    std::vector<std::int64_t> live;
+    for (std::int64_t bc = 0; bc < grid.grid_cols(); ++bc) {
+      bool any = false;
+      for (std::int64_t r = br * kBlock; r < (br + 1) * kBlock; ++r)
+        for (std::int64_t c = bc * kBlock;
+             c < bc * kBlock + grid.col_extent(bc); ++c)
+          any = any || mask[r * kCols + c] != 0.0f;
+      if (any) live.push_back(bc);
+    }
+    const std::int64_t bc = live[static_cast<std::size_t>(br) % live.size()];
+    for (std::int64_t r = br * kBlock; r < (br + 1) * kBlock; ++r)
+      for (std::int64_t c = bc * kBlock;
+           c < bc * kBlock + grid.col_extent(bc); ++c)
+        mask[r * kCols + c] = 0.0f;
+  }
+}
+
+void BM_LayerOverlay(benchmark::State& state) {
+  Rng rng(7);
+  nn::Sequential model("layer");
+  model.emplace<nn::Linear>("fc", kCols, kRows, rng);
+  nn::Parameter& wp = *model.prunable_parameters().front();
+  wp.value = hybrid_weights(2, 4, 0.875);
+  wp.mask = Tensor({kRows, kCols});
+  for (std::int64_t i = 0; i < wp.value.numel(); ++i)
+    wp.mask[i] = wp.value[i] != 0.0f ? 1.0f : 0.0f;
+  const auto base =
+      tenant::BaseArtifact::create(std::make_shared<const deploy::PackedModel>(
+          deploy::PackedModel::pack(model, kBlock, 2, 4)));
+  drop_one_block_per_row(wp.mask);
+  const auto delta = std::make_shared<const tenant::MaskDelta>(
+      tenant::MaskDelta::from_model(*base, model));
+  const tenant::OverlayMatrix overlay(base, delta, wp.name);
+  run_layer(state,
+            [&](ConstMatrixView x, MatrixView y) { overlay.spmm(x, y); });
+}
+BENCHMARK(BM_LayerOverlay)->Apply(layer_batches);
 
 }  // namespace
 

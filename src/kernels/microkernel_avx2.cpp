@@ -7,11 +7,18 @@
 // Accumulation orders are fixed (j-tiles left to right, p ascending inside
 // a tile, reduction lanes combined the same way every call), so results are
 // deterministic and thread-count independent within this tier.
+//
+// The TU is built with -ffp-contract=off, so the compiler never fuses a
+// multiply and an add on its own: every FMA below is written out
+// (_mm256_fmadd_ps or std::fma), and every other a * b + c rounds twice.
+// Debug and Release builds therefore compute the same bits.
 #include "kernels/simd_internal.h"
 
 #if CRISP_HAVE_AVX2
 
 #include <immintrin.h>
+
+#include <cmath>
 
 namespace crisp::kernels::simd {
 
@@ -31,15 +38,60 @@ void avx2_axpy(float a, const float* x, float* y, std::int64_t n) {
   for (; j + 8 <= n; j += 8)
     _mm256_storeu_ps(y + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + j),
                                             _mm256_loadu_ps(y + j)));
-  for (; j < n; ++j) y[j] += a * x[j];
+  for (; j < n; ++j) y[j] = std::fma(a, x[j], y[j]);
 }
 
-void avx2_axpy_i8(std::int8_t q, float scale, const float* x, float* y,
-                  std::int64_t n) {
-  // int8 -> fp32 is exact, and the product is one IEEE multiply, so the
-  // coefficient matches the scalar tier bit for bit; the accumulate reuses
-  // the FMA axpy body above.
-  avx2_axpy(scale * static_cast<float>(q), x, y, n);
+/// T 8-lane column tiles of one block row: the row's y tile stays in
+/// registers across all of its groups x n slots.
+template <int T, class Slots>
+inline void crisp_tile(Slots slots, const CrispBlock& b, std::int64_t r,
+                       const float* x, float* yr, std::int64_t p) {
+  __m256 acc[T];
+  for (int t = 0; t < T; ++t) acc[t] = _mm256_loadu_ps(yr + 8 * t);
+  const std::int64_t k0 = r * b.groups * b.n;
+  for (std::int64_t g = 0; g < b.groups; ++g) {
+    const float* xg = x + g * b.m * p;
+    for (std::int64_t s = 0; s < b.n; ++s) {
+      const std::int64_t k = k0 + g * b.n + s;
+      float a;
+      if (!slots(k, a)) continue;
+      const float* xr = xg + b.offsets[k] * p;
+      const __m256 av = _mm256_set1_ps(a);
+      for (int t = 0; t < T; ++t)
+        acc[t] = _mm256_fmadd_ps(av, _mm256_loadu_ps(xr + 8 * t), acc[t]);
+    }
+  }
+  for (int t = 0; t < T; ++t) _mm256_storeu_ps(yr + 8 * t, acc[t]);
+}
+
+/// p < 8: gather-dot. Otherwise 32/16/8-column register tiles per block
+/// row, then the < 8-column tail as a fused gather-dot.
+template <class Slots>
+void avx2_crisp_block_impl(Slots slots, const CrispBlock& b, const float* x,
+                           float* y, std::int64_t p) {
+  const std::int64_t vec = p & ~std::int64_t{7};
+  for (std::int64_t r = 0; vec > 0 && r < b.rows; ++r) {
+    float* yr = y + r * p;
+    std::int64_t j = 0;
+    for (; j + 32 <= vec; j += 32) crisp_tile<4>(slots, b, r, x + j, yr + j, p);
+    if (j + 16 <= vec) {
+      crisp_tile<2>(slots, b, r, x + j, yr + j, p);
+      j += 16;
+    }
+    if (j < vec) crisp_tile<1>(slots, b, r, x + j, yr + j, p);
+  }
+  if (vec < p) crisp_gather(slots, b, x + vec, y + vec, p, p - vec);
+}
+
+void avx2_crisp_block(const float* values, const CrispBlock& b, const float* x,
+                      float* y, std::int64_t p) {
+  avx2_crisp_block_impl(Fp32Slots{values}, b, x, y, p);
+}
+
+void avx2_crisp_block_i8(const std::int8_t* q, float scale,
+                         const CrispBlock& b, const float* x, float* y,
+                         std::int64_t p) {
+  avx2_crisp_block_impl(Int8Slots{q, scale}, b, x, y, p);
 }
 
 float avx2_dot(const float* a, const float* b, std::int64_t n) {
@@ -152,7 +204,8 @@ void panel_impl(const float* apack, std::int64_t kc, const float* b,
         const float av = ap[r];
         if (av == 0.0f) continue;
         float* crow = c + r * ldc;
-        for (std::int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
+        for (std::int64_t jj = j; jj < n; ++jj)
+          crow[jj] = std::fma(av, brow[jj], crow[jj]);
       }
     }
   }
@@ -177,8 +230,9 @@ void avx2_gemm_panel(const float* apack, std::int64_t mr, std::int64_t kc,
   }
 }
 
-constexpr Microkernels kAvx2Kernels{avx2_axpy, avx2_axpy_i8, avx2_dot,
-                                    avx2_gemm_panel, Tier::kAvx2, "avx2"};
+constexpr Microkernels kAvx2Kernels{
+    avx2_axpy,       avx2_crisp_block, avx2_crisp_block_i8, avx2_dot,
+    avx2_gemm_panel, Tier::kAvx2,      "avx2"};
 
 }  // namespace
 

@@ -8,6 +8,8 @@
 
 #include <arm_neon.h>
 
+#include <cmath>
+
 namespace crisp::kernels::simd {
 
 namespace {
@@ -23,14 +25,59 @@ void neon_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
   for (; j + 4 <= n; j += 4)
     vst1q_f32(y + j, vfmaq_n_f32(vld1q_f32(y + j), vld1q_f32(x + j), a));
-  for (; j < n; ++j) y[j] += a * x[j];
+  for (; j < n; ++j) y[j] = std::fma(a, x[j], y[j]);
 }
 
-void neon_axpy_i8(std::int8_t q, float scale, const float* x, float* y,
-                  std::int64_t n) {
-  // Coefficient formed as one IEEE multiply (matches the scalar tier bit
-  // for bit); the accumulate reuses the FMA axpy body above.
-  neon_axpy(scale * static_cast<float>(q), x, y, n);
+/// T 4-lane column tiles of one block row: the row's y tile stays in
+/// registers across all of its groups x n slots.
+template <int T, class Slots>
+inline void crisp_tile(Slots slots, const CrispBlock& b, std::int64_t r,
+                       const float* x, float* yr, std::int64_t p) {
+  float32x4_t acc[T];
+  for (int t = 0; t < T; ++t) acc[t] = vld1q_f32(yr + 4 * t);
+  const std::int64_t k0 = r * b.groups * b.n;
+  for (std::int64_t g = 0; g < b.groups; ++g) {
+    const float* xg = x + g * b.m * p;
+    for (std::int64_t s = 0; s < b.n; ++s) {
+      const std::int64_t k = k0 + g * b.n + s;
+      float a;
+      if (!slots(k, a)) continue;
+      const float* xr = xg + b.offsets[k] * p;
+      for (int t = 0; t < T; ++t)
+        acc[t] = vfmaq_n_f32(acc[t], vld1q_f32(xr + 4 * t), a);
+    }
+  }
+  for (int t = 0; t < T; ++t) vst1q_f32(yr + 4 * t, acc[t]);
+}
+
+/// p < 8: gather-dot. Otherwise 16/8/4-column register tiles per block
+/// row, then the < 4-column tail as a fused gather-dot.
+template <class Slots>
+void neon_crisp_block_impl(Slots slots, const CrispBlock& b, const float* x,
+                           float* y, std::int64_t p) {
+  const std::int64_t vec = p < 8 ? 0 : p & ~std::int64_t{3};
+  for (std::int64_t r = 0; vec > 0 && r < b.rows; ++r) {
+    float* yr = y + r * p;
+    std::int64_t j = 0;
+    for (; j + 16 <= vec; j += 16) crisp_tile<4>(slots, b, r, x + j, yr + j, p);
+    if (j + 8 <= vec) {
+      crisp_tile<2>(slots, b, r, x + j, yr + j, p);
+      j += 8;
+    }
+    if (j < vec) crisp_tile<1>(slots, b, r, x + j, yr + j, p);
+  }
+  if (vec < p) crisp_gather(slots, b, x + vec, y + vec, p, p - vec);
+}
+
+void neon_crisp_block(const float* values, const CrispBlock& b, const float* x,
+                      float* y, std::int64_t p) {
+  neon_crisp_block_impl(Fp32Slots{values}, b, x, y, p);
+}
+
+void neon_crisp_block_i8(const std::int8_t* q, float scale,
+                         const CrispBlock& b, const float* x, float* y,
+                         std::int64_t p) {
+  neon_crisp_block_impl(Int8Slots{q, scale}, b, x, y, p);
 }
 
 float neon_dot(const float* a, const float* b, std::int64_t n) {
@@ -125,7 +172,8 @@ void panel_impl(const float* apack, std::int64_t kc, const float* b,
         const float av = ap[r];
         if (av == 0.0f) continue;
         float* crow = c + r * ldc;
-        for (std::int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
+        for (std::int64_t jj = j; jj < n; ++jj)
+          crow[jj] = std::fma(av, brow[jj], crow[jj]);
       }
     }
   }
@@ -150,8 +198,9 @@ void neon_gemm_panel(const float* apack, std::int64_t mr, std::int64_t kc,
   }
 }
 
-constexpr Microkernels kNeonKernels{neon_axpy, neon_axpy_i8, neon_dot,
-                                    neon_gemm_panel, Tier::kNeon, "neon"};
+constexpr Microkernels kNeonKernels{
+    neon_axpy,       neon_crisp_block, neon_crisp_block_i8, neon_dot,
+    neon_gemm_panel, Tier::kNeon,      "neon"};
 
 }  // namespace
 

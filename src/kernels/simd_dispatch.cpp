@@ -20,10 +20,34 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) y[j] += a * x[j];
 }
 
-void scalar_axpy_i8(std::int8_t q, float scale, const float* x, float* y,
-                    std::int64_t n) {
-  const float a = scale * static_cast<float>(q);
-  for (std::int64_t j = 0; j < n; ++j) y[j] += a * x[j];
+// Every slot an inline axpy over its row's p columns: the reference order
+// the SIMD tiers' loop orders must reproduce per output element.
+template <class Slots>
+void scalar_crisp_block_impl(Slots slots, const CrispBlock& b, const float* x,
+                             float* y, std::int64_t p) {
+  const std::int64_t per_row = b.groups * b.n;
+  for (std::int64_t r = 0; r < b.rows; ++r) {
+    float* yr = y + r * p;
+    for (std::int64_t g = 0; g < b.groups; ++g)
+      for (std::int64_t s = 0; s < b.n; ++s) {
+        const std::int64_t k = r * per_row + g * b.n + s;
+        float a;
+        if (!slots(k, a)) continue;
+        const float* xr = x + (g * b.m + b.offsets[k]) * p;
+        for (std::int64_t j = 0; j < p; ++j) yr[j] += a * xr[j];
+      }
+  }
+}
+
+void scalar_crisp_block(const float* values, const CrispBlock& b,
+                        const float* x, float* y, std::int64_t p) {
+  scalar_crisp_block_impl(Fp32Slots{values}, b, x, y, p);
+}
+
+void scalar_crisp_block_i8(const std::int8_t* q, float scale,
+                           const CrispBlock& b, const float* x, float* y,
+                           std::int64_t p) {
+  scalar_crisp_block_impl(Int8Slots{q, scale}, b, x, y, p);
 }
 
 float scalar_dot(const float* a, const float* b, std::int64_t n) {
@@ -46,9 +70,9 @@ void scalar_gemm_panel(const float* apack, std::int64_t mr, std::int64_t kc,
   }
 }
 
-constexpr Microkernels kScalarKernels{scalar_axpy, scalar_axpy_i8, scalar_dot,
-                                      scalar_gemm_panel, Tier::kScalar,
-                                      "scalar"};
+constexpr Microkernels kScalarKernels{
+    scalar_axpy,       scalar_crisp_block, scalar_crisp_block_i8, scalar_dot,
+    scalar_gemm_panel, Tier::kScalar,      "scalar"};
 
 // ---- tier resolution --------------------------------------------------------
 

@@ -2,7 +2,7 @@
 // SpmmKernel inner loop.
 //
 // The kernel layer is ISA-agnostic: gemm.cpp and the four sparse formats
-// drive blocking, packing and parallel partitioning, then call the three
+// drive blocking, packing and parallel partitioning, then call the
 // primitives below through the Microkernels table returned by active().
 // Three implementations exist:
 //   * scalar  — the always-correct fallback, bit-identical to the pre-SIMD
@@ -34,19 +34,40 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 /// buffers are sized kMr * kKc; tests pick shapes straddling this.
 constexpr std::int64_t kMr = 4;
 
-/// The three primitives every kernel in the layer is built from. One table
-/// per tier; all function pointers are non-null.
+/// One stored CRISP block (sparse/formats/crisp_format.h) as its
+/// microkernel sees it: `rows` block rows, each holding `groups` groups of
+/// `n` slots; slot k of row r sits at index r * groups * n + k of the
+/// block's value and offset arrays, and its MUX offset (in [0, m)) selects
+/// activation row g * m + offset of the block's column band.
+struct CrispBlock {
+  const std::uint8_t* offsets;
+  std::int64_t rows, groups, n, m;
+};
+
+/// The primitives every kernel in the layer is built from. One table per
+/// tier; all function pointers are non-null.
 struct Microkernels {
   /// y[0..n) += a * x[0..n).
   void (*axpy)(float a, const float* x, float* y, std::int64_t n);
 
-  /// y[0..n) += (scale * q) * x[0..n) — the dequantize-on-the-fly
-  /// accumulate behind the int8 spmm path (sparse/quantized.h). The
-  /// coefficient scale * float(q) is a single IEEE multiply, formed
-  /// identically in every tier; the accumulate then runs the tier's axpy
-  /// body, so cross-tier differences are bounded exactly like axpy's.
-  void (*axpy_i8)(std::int8_t q, float scale, const float* x, float* y,
-                  std::int64_t n);
+  /// Multiplies one CRISP block into its block-row's output band:
+  ///   y[r*p + j] += sum_{g,s} v(r,g,s) * x[(g*m + off(r,g,s)) * p + j]
+  /// for every block row r and column j in [0, p). `x` points at the
+  /// activation row of the block's first column, `y` at the block-row's
+  /// first output row, both with row stride p. Each output element adds
+  /// its slots in stored order (group, then slot), skips zero slots, and
+  /// takes every step as one fused multiply-add (one multiply then one add
+  /// in the scalar tier) — so the result is the per-slot axpy sequence's,
+  /// bit for bit, whatever loop order the tier picks from p.
+  void (*crisp_block)(const float* values, const CrispBlock& blk,
+                      const float* x, float* y, std::int64_t p);
+
+  /// The int8 payload's crisp_block: slot coefficient scale * float(q),
+  /// a single IEEE multiply formed identically in every tier; q == 0 slots
+  /// are skipped.
+  void (*crisp_block_i8)(const std::int8_t* q, float scale,
+                         const CrispBlock& blk, const float* x, float* y,
+                         std::int64_t p);
 
   /// Returns sum_i a[i] * b[i] over [0..n).
   float (*dot)(const float* a, const float* b, std::int64_t n);

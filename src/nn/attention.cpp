@@ -15,7 +15,6 @@ void init_projection(Parameter& p, const std::string& name, std::int64_t out,
   const float stddev = std::sqrt(1.0f / static_cast<float>(in));
   p.name = name;
   p.value = Tensor::randn({out, in}, rng, 0.0f, stddev);
-  p.grad = Tensor::zeros({out, in});
   p.prunable = true;
   p.matrix_rows = out;
   p.matrix_cols = in;
@@ -24,7 +23,6 @@ void init_projection(Parameter& p, const std::string& name, std::int64_t out,
 void init_bias(Parameter& p, const std::string& name, std::int64_t out) {
   p.name = name;
   p.value = Tensor::zeros({out});
-  p.grad = Tensor::zeros({out});
 }
 
 /// y(BT x D) = x(BT x D) · Wᵀ + b, using the effective (masked) weight.
@@ -50,7 +48,9 @@ Tensor project_backward(const Tensor& dy, const Tensor& x, Parameter& w,
   Tensor dw({dim, dim});
   matmul_tn(ConstMatrixView(dy.data(), rows, dim),
             ConstMatrixView(x.data(), rows, dim), as_matrix(dw, dim, dim));
+  w.ensure_grad();
   w.grad.add_(dw);
+  b.ensure_grad();
   // db[i] += Σ_r dY[r,i] — one writer per bias slot, rows accumulated in
   // ascending order inside it, so the sum never depends on the partition.
   kernels::parallel_for(

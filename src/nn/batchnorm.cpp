@@ -14,10 +14,8 @@ BatchNorm2d::BatchNorm2d(std::string name, std::int64_t channels,
       eps_(eps) {
   gamma_.name = this->name() + ".gamma";
   gamma_.value = Tensor::ones({channels});
-  gamma_.grad = Tensor::zeros({channels});
   beta_.name = this->name() + ".beta";
   beta_.value = Tensor::zeros({channels});
-  beta_.grad = Tensor::zeros({channels});
   running_mean_ = Tensor::zeros({channels});
   running_var_ = Tensor::ones({channels});
 }
@@ -110,6 +108,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::int64_t plane = channels_ * hw;
   const double count = static_cast<double>(batch * hw);
   Tensor grad_in(grad_out.shape());
+  gamma_.ensure_grad();
+  beta_.ensure_grad();
 
   // Same partitioning argument as the training forward: every channel owns
   // its reduction sums, its gamma/beta gradient slots, and its (b, c) planes

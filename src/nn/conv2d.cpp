@@ -24,14 +24,12 @@ Conv2d::Conv2d(std::string name, const Conv2dSpec& spec, Rng& rng)
   weight_.name = this->name() + ".weight";
   weight_.value = Tensor::randn(
       {spec_.out_channels, rg, spec_.kernel, spec_.kernel}, rng, 0.0f, stddev);
-  weight_.grad = Tensor::zeros(weight_.value.shape());
   weight_.prunable = spec_.prunable;
   weight_.matrix_rows = spec_.out_channels;
   weight_.matrix_cols = fan_in;
   if (spec_.bias) {
     bias_.name = this->name() + ".bias";
     bias_.value = Tensor::zeros({spec_.out_channels});
-    bias_.grad = Tensor::zeros({spec_.out_channels});
   }
 }
 
@@ -188,11 +186,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     }
   };
   // Per-sample cost ≈ the two GEMMs; im2col/col2im ride along.
+  weight_.ensure_grad();
   kernels::parallel_accumulate(
       batch, kernels::rows_grain(2 * spec_.out_channels * k * p),
       weight_.grad.numel(), backward_samples, weight_.grad.data());
 
   if (spec_.bias) {
+    bias_.ensure_grad();
     // One writer per channel; the batch is summed in ascending order inside
     // it, so the result never depends on the channel partition.
     kernels::parallel_for(

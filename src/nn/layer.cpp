@@ -6,6 +6,10 @@ void Parameter::ensure_mask() {
   if (!has_mask()) mask = Tensor::ones(value.shape());
 }
 
+void Parameter::ensure_grad() {
+  if (grad.empty()) grad = Tensor::zeros(value.shape());
+}
+
 Tensor Parameter::effective_value() const {
   if (!has_mask()) return value;
   return value.mul(mask);
@@ -59,7 +63,7 @@ Tensor Layer::forward_eval(const Tensor& x, const KernelTable& table) const {
 
 void Layer::zero_grad() {
   for (Parameter* p : parameters()) {
-    if (p->grad.empty()) p->grad = Tensor::zeros(p->value.shape());
+    p->ensure_grad();
     p->grad.zero();
   }
 }

@@ -31,7 +31,7 @@ namespace crisp::nn {
 struct Parameter {
   std::string name;
   Tensor value;
-  Tensor grad;
+  Tensor grad;  ///< empty until the first backward (see ensure_grad)
   Tensor mask;  ///< empty ⇒ dense; otherwise 0/1, same shape as value
 
   /// Weights eligible for CRISP pruning (conv/linear kernels, not biases).
@@ -45,6 +45,11 @@ struct Parameter {
 
   /// Creates an all-ones mask if none exists.
   void ensure_mask();
+
+  /// Creates a zero gradient if none exists. Layers build their parameters
+  /// without one and backward allocates it on first use, so a model that is
+  /// only packed, compiled or served never holds gradient memory.
+  void ensure_grad();
 
   /// value ⊙ mask when masked, otherwise a copy of value.
   Tensor effective_value() const;

@@ -12,10 +12,8 @@ LayerNorm::LayerNorm(std::string name, std::int64_t features, float eps)
     : Layer(std::move(name)), features_(features), eps_(eps) {
   gamma_.name = this->name() + ".gamma";
   gamma_.value = Tensor::ones({features});
-  gamma_.grad = Tensor::zeros({features});
   beta_.name = this->name() + ".beta";
   beta_.value = Tensor::zeros({features});
-  beta_.grad = Tensor::zeros({features});
 }
 
 Tensor LayerNorm::compute_forward(const Tensor& x, Tensor* xhat,
@@ -107,6 +105,8 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
         }
       },
       fused.data());
+  gamma_.ensure_grad();
+  beta_.ensure_grad();
   kernels::parallel_for(
       features_,
       [&](std::int64_t i0, std::int64_t i1) {

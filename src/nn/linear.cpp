@@ -17,14 +17,12 @@ Linear::Linear(std::string name, std::int64_t in_features,
   const float stddev = std::sqrt(2.0f / static_cast<float>(in_features));
   weight_.name = this->name() + ".weight";
   weight_.value = Tensor::randn({out_features, in_features}, rng, 0.0f, stddev);
-  weight_.grad = Tensor::zeros(weight_.value.shape());
   weight_.prunable = prunable;
   weight_.matrix_rows = out_features;
   weight_.matrix_cols = in_features;
   if (has_bias_) {
     bias_.name = this->name() + ".bias";
     bias_.value = Tensor::zeros({out_features});
-    bias_.grad = Tensor::zeros({out_features});
   }
 }
 
@@ -112,9 +110,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
   matmul_tn(as_matrix(grad_out, batch, out_features_),
             as_matrix(x, batch, in_features_),
             as_matrix(dw, out_features_, in_features_));
+  weight_.ensure_grad();
   weight_.grad.add_(dw);
 
   if (has_bias_) {
+    bias_.ensure_grad();
     // db[o] += Σ_b dY[b,o] — one writer per output feature, with the batch
     // accumulated in ascending order inside it, so the sum is independent
     // of how the features are chunked across threads.

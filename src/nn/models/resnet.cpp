@@ -1,5 +1,7 @@
 #include "nn/models/resnet.h"
 
+#include <string>
+
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -153,9 +155,12 @@ std::unique_ptr<Sequential> make_resnet50(const ModelConfig& cfg) {
   for (int stage = 0; stage < 4; ++stage) {
     for (std::int64_t b = 0; b < stage_blocks[stage]; ++b) {
       const std::int64_t stride = (stage > 0 && b == 0) ? 2 : 1;
-      auto& block = model->emplace<Bottleneck>(
-          "s" + std::to_string(stage + 1) + ".b" + std::to_string(b), in_ch,
-          stage_planes[stage], stride, rng);
+      std::string name = "s";
+      name += std::to_string(stage + 1);
+      name += ".b";
+      name += std::to_string(b);
+      auto& block = model->emplace<Bottleneck>(name, in_ch,
+                                               stage_planes[stage], stride, rng);
       in_ch = block.out_channels();
     }
   }

@@ -55,7 +55,6 @@ PositionalEmbedding::PositionalEmbedding(std::string name, std::int64_t tokens,
     : Layer(std::move(name)), tokens_(tokens), dim_(dim) {
   table_.name = this->name() + ".table";
   table_.value = Tensor::randn({tokens, dim}, rng, 0.0f, 0.02f);
-  table_.grad = Tensor::zeros({tokens, dim});
 }
 
 Tensor PositionalEmbedding::forward_eval(const Tensor& x,
@@ -81,6 +80,7 @@ Tensor PositionalEmbedding::forward(const Tensor& x, bool /*train*/) {
 
 Tensor PositionalEmbedding::backward(const Tensor& grad_out) {
   const std::int64_t batch = grad_out.size(0);
+  table_.ensure_grad();
   // One writer per table slot; the batch is accumulated in ascending order
   // inside it, so the sum never depends on the slot partition.
   kernels::parallel_for(

@@ -10,7 +10,7 @@ Sgd::Sgd(std::vector<Parameter*> params, const SgdConfig& cfg)
   for (Parameter* p : params_) {
     CRISP_CHECK(p != nullptr, "null parameter handed to Sgd");
     velocity_.push_back(Tensor::zeros(p->value.shape()));
-    if (p->grad.empty()) p->grad = Tensor::zeros(p->value.shape());
+    p->ensure_grad();
   }
 }
 

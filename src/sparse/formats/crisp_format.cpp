@@ -146,125 +146,62 @@ void CrispMatrix::release_fp32_payload() {
 }
 
 void CrispMatrix::spmm(ConstMatrixView x, MatrixView y) const {
-  if (!has_fp32() && has_quantized()) {
-    spmm_quantized(x, y);
-    return;
-  }
-  CRISP_CHECK(x.rows == grid_.cols, "CRISP spmm: inner dimension mismatch");
-  CRISP_CHECK(y.rows == grid_.rows && y.cols == x.cols,
-              "CRISP spmm: output shape");
-  const std::int64_t block = grid_.block, groups = block / m_, p = x.cols;
-  // Block-rows own disjoint bands of output rows, so partitioning over them
-  // keeps every output row single-writer and the result thread-count
-  // independent. This is also the threaded path packed deployment runs.
-  const std::int64_t grain =
-      kernels::rows_grain(blocks_per_row_ * block * groups * n_ * p);
-  const auto axpy = kernels::simd::active().axpy;
-  kernels::parallel_for(grid_.grid_rows(), [&](std::int64_t br0,
-                                               std::int64_t br1) {
-    for (std::int64_t br = br0; br < br1; ++br) {
-      std::memset(y.data + br * block * p, 0,
-                  static_cast<std::size_t>(grid_.row_extent(br) * p) *
-                      sizeof(float));
-      for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
-        const std::int64_t blk = br * blocks_per_row_ + i;
-        const std::int64_t bc = block_cols_[static_cast<std::size_t>(blk)];
-        // Block-level indirection: prefetch the next block's activation
-        // band while this block multiplies (hint only — results are
-        // unchanged).
-        if (i + 1 < blocks_per_row_)
-          kernels::prefetch_read(
-              x.data +
-              block_cols_[static_cast<std::size_t>(blk) + 1] * block * p);
-        for (std::int64_t r = 0; r < grid_.row_extent(br); ++r) {
-          float* yrow = y.data + (br * block + r) * p;
-          for (std::int64_t g = 0; g < groups; ++g) {
-            const std::int64_t base = ((blk * block + r) * groups + g) * n_;
-            const std::int64_t col0 = bc * block + g * m_;
-            for (std::int64_t s = 0; s < n_; ++s) {
-              // Next slot's MUX target, one gather ahead of the axpy —
-              // before the zero-skip, so a zero slot still hides the
-              // following slot's gather.
-              if (s + 1 < n_)
-                kernels::prefetch_read(
-                    x.data +
-                    (col0 +
-                     offsets_[static_cast<std::size_t>(base + s) + 1]) *
-                        p);
-              const float v = values_[static_cast<std::size_t>(base + s)];
-              if (v == 0.0f) continue;
-              // The MUX step of Fig. 6: the offset selects the activation
-              // row.
-              axpy(v,
-                   x.data +
-                       (col0 + offsets_[static_cast<std::size_t>(base + s)]) *
-                           p,
-                   yrow, p);
-            }
-          }
-        }
-      }
-    }
-  }, grain);
+  spmm_blocks(x, y, !has_fp32() && has_quantized(), nullptr, blocks_per_row_,
+              nullptr);
 }
 
 void CrispMatrix::spmm_quantized(ConstMatrixView x, MatrixView y) const {
-  CRISP_CHECK(has_quantized(),
-              "CRISP spmm_quantized: no int8 payload attached");
-  CRISP_CHECK(x.rows == grid_.cols,
-              "CRISP spmm_quantized: inner dimension mismatch");
+  spmm_blocks(x, y, /*int8=*/true, nullptr, blocks_per_row_, nullptr);
+}
+
+void CrispMatrix::spmm_blocks(ConstMatrixView x, MatrixView y, bool int8,
+                              const std::uint8_t* kept,
+                              std::int64_t kept_per_row,
+                              const float* row_scales) const {
+  CRISP_CHECK(!int8 || has_quantized(),
+              "CRISP spmm: no int8 payload attached");
+  CRISP_CHECK(x.rows == grid_.cols, "CRISP spmm: inner dimension mismatch");
   CRISP_CHECK(y.rows == grid_.rows && y.cols == x.cols,
-              "CRISP spmm_quantized: output shape");
-  const std::int64_t block = grid_.block, groups = block / m_, p = x.cols;
-  // Same block-row partitioning (and so the same single-writer /
-  // thread-count-independence argument) as the fp32 path; only the slot
-  // coefficient changes: scale_br * int8, fused into the dispatched
-  // axpy_i8 so the inner loop touches one byte per weight slot.
-  const std::int64_t grain =
-      kernels::rows_grain(blocks_per_row_ * block * groups * n_ * p);
-  const auto axpy_i8 = kernels::simd::active().axpy_i8;
-  const std::int8_t* qv = qvalues_.values.data();
+              "CRISP spmm: output shape");
+  const std::int64_t block = grid_.block, p = x.cols;
+  const std::int64_t spb = slots_per_block();
+  // Block-rows own disjoint bands of output rows, so partitioning over them
+  // keeps every output row single-writer and the result thread-count
+  // independent.
+  const std::int64_t grain = kernels::rows_grain(kept_per_row * spb * p);
+  const auto& mk = kernels::simd::active();
   kernels::parallel_for(grid_.grid_rows(), [&](std::int64_t br0,
                                                std::int64_t br1) {
     for (std::int64_t br = br0; br < br1; ++br) {
-      std::memset(y.data + br * block * p, 0,
-                  static_cast<std::size_t>(grid_.row_extent(br) * p) *
-                      sizeof(float));
-      // One scale per block-row's slot band.
-      const float scale = qvalues_.scale_for(br * slots_per_block_row());
+      float* yb = y.data + br * block * p;
+      std::memset(yb, 0, static_cast<std::size_t>(grid_.row_extent(br) * p) *
+                             sizeof(float));
+      kernels::simd::CrispBlock shape{nullptr, grid_.row_extent(br),
+                                      block / m_, n_, m_};
+      // One scale per block-row's slot band, unless the caller overrides it.
+      const float scale =
+          !int8 ? 0.0f
+          : row_scales != nullptr
+              ? row_scales[br]
+              : qvalues_.scale_for(br * slots_per_block_row());
       for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
         const std::int64_t blk = br * blocks_per_row_ + i;
-        const std::int64_t bc = block_cols_[static_cast<std::size_t>(blk)];
-        // Same block-band prefetch as the fp32 path (hint only).
+        if (kept != nullptr && !((kept[blk >> 3] >> (blk & 7)) & 1u)) continue;
+        const auto bc = block_cols_[static_cast<std::size_t>(blk)];
+        // Block-level indirection: prefetch the next block's activation
+        // band while this block multiplies (hint only).
         if (i + 1 < blocks_per_row_)
           kernels::prefetch_read(
               x.data +
               block_cols_[static_cast<std::size_t>(blk) + 1] * block * p);
-        for (std::int64_t r = 0; r < grid_.row_extent(br); ++r) {
-          float* yrow = y.data + (br * block + r) * p;
-          for (std::int64_t g = 0; g < groups; ++g) {
-            const std::int64_t base = ((blk * block + r) * groups + g) * n_;
-            const std::int64_t col0 = bc * block + g * m_;
-            for (std::int64_t s = 0; s < n_; ++s) {
-              // Prefetch before the zero-skip (zeros are common in the
-              // quantized payload) so every slot hides its successor.
-              if (s + 1 < n_)
-                kernels::prefetch_read(
-                    x.data +
-                    (col0 +
-                     offsets_[static_cast<std::size_t>(base + s) + 1]) *
-                        p);
-              const std::int8_t q = qv[static_cast<std::size_t>(base + s)];
-              if (q == 0) continue;  // padded slot or value rounded to zero
-              axpy_i8(q, scale,
-                      x.data +
-                          (col0 +
-                           offsets_[static_cast<std::size_t>(base + s)]) *
-                              p,
-                      yrow, p);
-            }
-          }
-        }
+        shape.offsets = offsets_.data() + blk * spb;
+        const float* xb = x.data + bc * block * p;
+        // The MUX step of Fig. 6, one dispatched call per stored block.
+        if (int8)
+          mk.crisp_block_i8(qvalues_.values.data() + blk * spb, scale, shape,
+                            xb, yb, p);
+        else
+          mk.crisp_block(values_.data() + blk * spb, shape, xb, yb, p);
       }
     }
   }, grain);

@@ -13,8 +13,13 @@
 // The value payload can additionally (or instead) be carried as symmetric
 // int8 with one fp32 scale per block-row (sparse/quantized.h), turning the
 // metadata win into a bandwidth win: spmm_quantized dequantizes on the fly
-// through the dispatched axpy_i8 microkernel. docs/formats.md has the
+// inside the dispatched crisp_block_i8 microkernel. docs/formats.md has the
 // byte-level layout.
+//
+// This module is the one owner of the slot layout at execution time: every
+// CRISP-layout spmm — fp32, int8, and tenant::OverlayMatrix's zero-copy
+// block subset — runs spmm_blocks, which makes one dispatched microkernel
+// call per (block-row, stored block).
 #pragma once
 
 #include <cstdint>
@@ -45,10 +50,23 @@ class CrispMatrix : public kernels::SpmmKernel {
 
   /// The dequantize-on-the-fly path: same block-row partitioning and
   /// accumulation order as spmm (so also bit-identical at any thread
-  /// count), but each slot's coefficient is scale * int8 via the dispatched
-  /// axpy_i8 microkernel — a quarter of the weight-value traffic. Throws
-  /// when no quantized payload is attached.
+  /// count), but each slot's coefficient is scale * int8, formed inside the
+  /// dispatched crisp_block_i8 microkernel — a quarter of the weight-value
+  /// traffic. Throws when no quantized payload is attached.
   void spmm_quantized(ConstMatrixView x, MatrixView y) const;
+
+  /// The block-row loop behind spmm, spmm_quantized and
+  /// tenant::OverlayMatrix. Multiplies the int8 payload when `int8`, else
+  /// the fp32 one. `kept`, when non-null, is a bitmap over the stored
+  /// blocks in restricted_to_blocks' layout and only its set blocks run;
+  /// `kept_per_row` is how many that is per block-row (it sizes the
+  /// parallel grain only). `row_scales`, when non-null, replaces the int8
+  /// payload's per-block-row scales. Kept blocks run in stored order with
+  /// their own slots, so a subset computes bit-identically to the
+  /// restricted_to_blocks matrix it describes.
+  void spmm_blocks(ConstMatrixView x, MatrixView y, bool int8,
+                   const std::uint8_t* kept, std::int64_t kept_per_row,
+                   const float* row_scales) const;
 
   /// Builds the int8 payload from the fp32 slots: symmetric quantization,
   /// one scale per block-row's slot band (see sparse/quantized.h for the
@@ -88,14 +106,9 @@ class CrispMatrix : public kernels::SpmmKernel {
     return static_cast<std::int64_t>(offsets_.size());
   }
 
-  /// Zero-copy views of the encoded arena, in stored order (block-rows
-  /// ascending, surviving blocks ascending within a row; slot layout
-  /// block-side rows x groups x n per block). tenant::OverlayMatrix walks
-  /// these to execute a per-tenant block subset directly against this
-  /// matrix's payload without copying it.
+  /// Block-column index of every stored block, in stored order
+  /// (block-rows ascending, surviving blocks ascending within a row).
   const std::vector<std::int32_t>& block_cols() const { return block_cols_; }
-  const std::vector<float>& fp32_values() const { return values_; }
-  const std::vector<std::uint8_t>& slot_offsets() const { return offsets_; }
   /// Slots one surviving block spans: block * (block/m) * n.
   std::int64_t slots_per_block() const {
     return grid_.block * (grid_.block / m_) * n_;

@@ -9,11 +9,12 @@
 // compiled tenant keeps exactly what it executes from alive.
 //
 // Equivalence contract (locked in by tests/test_tenant.cpp): an overlay
-// issues the identical per-slot multiply sequence as the standalone
-// restriction MaskDelta::apply() builds — kept blocks in stored order,
-// same accumulation order, same per-block-row scales on the int8 path —
-// so both produce bit-identical outputs, at any thread count (the usual
-// block-row single-writer argument of the CRISP kernels).
+// runs CrispMatrix::spmm_blocks over the base with the delta's kept-block
+// bitmap, which issues the identical per-block microkernel calls as the
+// standalone restriction MaskDelta::apply() builds — kept blocks in stored
+// order, same accumulation order, same per-block-row scales on the int8
+// path — so both produce bit-identical outputs, at any thread count (the
+// usual block-row single-writer argument of the CRISP kernels).
 #pragma once
 
 #include <memory>
@@ -53,9 +54,6 @@ class OverlayMatrix final : public kernels::SpmmKernel {
   bool aliases_base_payload() const;
 
  private:
-  void spmm_fp32(ConstMatrixView x, MatrixView y) const;
-  void spmm_int8(ConstMatrixView x, MatrixView y) const;
-
   std::shared_ptr<const BaseArtifact> base_;
   std::shared_ptr<const MaskDelta> delta_;
   const deploy::PackedEntry* entry_ = nullptr;  ///< into base_'s artifact

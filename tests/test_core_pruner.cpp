@@ -268,16 +268,16 @@ TEST(CrispPruner, PureBlockMode) {
 
 TEST(CrispPruner, RejectsBadConfigs) {
   PrunerFixture fx;
-  CrispConfig cfg;
-  cfg.n = 5;
-  cfg.m = 4;
-  EXPECT_THROW(CrispPruner(*fx.model, cfg), std::runtime_error);
-  cfg = CrispConfig{};
-  cfg.block = 6;  // not a multiple of m = 4
-  EXPECT_THROW(CrispPruner(*fx.model, cfg), std::runtime_error);
-  cfg = CrispConfig{};
-  cfg.target_sparsity = 1.0;
-  EXPECT_THROW(CrispPruner(*fx.model, cfg), std::runtime_error);
+  CrispConfig bad_nm;
+  bad_nm.n = 5;
+  bad_nm.m = 4;
+  EXPECT_THROW(CrispPruner(*fx.model, bad_nm), std::runtime_error);
+  CrispConfig bad_block;
+  bad_block.block = 6;  // not a multiple of m = 4
+  EXPECT_THROW(CrispPruner(*fx.model, bad_block), std::runtime_error);
+  CrispConfig bad_target;
+  bad_target.target_sparsity = 1.0;
+  EXPECT_THROW(CrispPruner(*fx.model, bad_target), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 // Kernel-layer tests: parallel_for partitioning/exceptions/nesting, the
 // thread-count invariance contract — bit-identical results at 1/2/8 threads
 // for every dense GEMM variant and every SpmmKernel implementation — the
-// strengthened GEMM operand checking, CRISP_NUM_THREADS validation, and
-// SIMD/scalar dispatch parity on tail-heavy shapes.
+// strengthened GEMM operand checking, CRISP_NUM_THREADS validation,
+// SIMD/scalar dispatch parity on tail-heavy shapes, and the column
+// independence of every spmm (a column's bits never depend on the batch).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -479,44 +481,80 @@ TEST(SimdParity, GemmNtTailHeavyShapes) {
   }
 }
 
+/// One matrix in every SpmmKernel format, CRISP twice: fp32 and int8 (the
+/// int8 payload served after the fp32 one is released).
+struct AllFormats {
+  static constexpr std::int64_t kRows = 64, kCols = 96, kBlock = 16;
+
+  explicit AllFormats(Rng& rng)
+      : w(hybrid_matrix(kRows, kCols, kBlock, 2, 4, /*pruned_per_row=*/2,
+                        rng)),
+        csr(sparse::CsrMatrix::encode(as_matrix(w, kRows, kCols))),
+        ell(sparse::EllpackMatrix::encode(as_matrix(w, kRows, kCols))),
+        bell(sparse::BlockedEllMatrix::encode(as_matrix(w, kRows, kCols),
+                                              kBlock)),
+        cm(sparse::CrispMatrix::encode(as_matrix(w, kRows, kCols), kBlock, 2,
+                                       4)),
+        cq(cm) {
+    cq.quantize_payload();
+    cq.release_fp32_payload();
+  }
+
+  std::vector<const kernels::SpmmKernel*> all() const {
+    return {&csr, &ell, &bell, &cm, &cq};
+  }
+
+  Tensor w;
+  sparse::CsrMatrix csr;
+  sparse::EllpackMatrix ell;
+  sparse::BlockedEllMatrix bell;
+  sparse::CrispMatrix cm, cq;
+};
+
 TEST(SimdParity, SpmmFormatsTailHeavyBatches) {
-  constexpr std::int64_t kRows = 64, kCols = 96, kBlock = 16;
   Rng rng(34);
-  const Tensor w = hybrid_matrix(kRows, kCols, kBlock, 2, 4,
-                                 /*pruned_per_row=*/2, rng);
-  const auto csr = sparse::CsrMatrix::encode(as_matrix(w, kRows, kCols));
-  const auto ell = sparse::EllpackMatrix::encode(as_matrix(w, kRows, kCols));
-  const auto bell =
-      sparse::BlockedEllMatrix::encode(as_matrix(w, kRows, kCols), kBlock);
-  const auto cm =
-      sparse::CrispMatrix::encode(as_matrix(w, kRows, kCols), kBlock, 2, 4);
-  const kernels::SpmmKernel* formats[] = {&csr, &ell, &bell, &cm};
-  // Batches exercising the 16-wide, 8-wide, and scalar axpy tails.
-  for (const std::int64_t batch : {5, 19, 24}) {
-    const Tensor x = Tensor::randn({kCols, batch}, rng);
-    for (const kernels::SpmmKernel* kernel : formats) {
+  const AllFormats f(rng);
+  // Batches exercising the 16-wide, 8-wide, and scalar axpy tails, and
+  // both sides of the CRISP block kernels' p = 8 loop-order switch.
+  for (const std::int64_t batch :
+       {1, 3, 5, 7, 8, 9, 15, 17, 19, 24, 33, 100}) {
+    const Tensor x = Tensor::randn({AllFormats::kCols, batch}, rng);
+    for (const kernels::SpmmKernel* kernel : f.all()) {
       SCOPED_TRACE(kernel->format_name());
       expect_tier_parity([&] { return sparse::spmm(*kernel, x); });
     }
   }
 }
 
-TEST(SimdParity, AxpyI8TailHeavyLengths) {
-  // The dequantizing axpy behind the int8 spmm path: every tier must agree
-  // with forced-scalar within rounding, across vector-tail lengths and the
-  // full int8 coefficient range.
-  Rng rng(35);
-  for (const std::int64_t n : {1LL, 3LL, 7LL, 8LL, 9LL, 15LL, 17LL, 33LL,
-                               100LL}) {
-    const Tensor x = Tensor::randn({n}, rng);
-    const Tensor seed = Tensor::randn({n}, rng);
-    for (const int q : {-127, -3, 1, 127}) {
-      expect_tier_parity([&] {
-        Tensor y = seed;
-        kernels::simd::active().axpy_i8(static_cast<std::int8_t>(q), 0.0137f,
-                                        x.data(), y.data(), n);
-        return y;
-      });
+TEST(SpmmColumns, EachColumnMatchesItsSingleColumnProductBitwise) {
+  // Batched == serial serving rests on this: a column's bits must not
+  // depend on how many columns share the call — across the SIMD column
+  // tails and the CRISP kernels' p = 8 loop-order switch, in every tier.
+  Rng rng(36);
+  const AllFormats f(rng);
+  const kernels::simd::Tier active = kernels::simd::active_tier();
+  for (const kernels::simd::Tier tier : {active, kernels::simd::Tier::kScalar}) {
+    kernels::simd::TierScope scope(tier);
+    for (const std::int64_t p : {2, 3, 7, 8, 9, 16, 17, 33}) {
+      const Tensor x = Tensor::randn({AllFormats::kCols, p}, rng);
+      for (const kernels::SpmmKernel* kernel : f.all()) {
+        const Tensor full = sparse::spmm(*kernel, x);
+        std::int64_t mismatched = 0;
+        for (std::int64_t j = 0; j < p; ++j) {
+          Tensor xj({AllFormats::kCols, 1});
+          for (std::int64_t k = 0; k < AllFormats::kCols; ++k)
+            xj[k] = x[k * p + j];
+          const Tensor yj = sparse::spmm(*kernel, xj);
+          bool same = true;
+          for (std::int64_t r = 0; r < AllFormats::kRows; ++r)
+            same = same && std::bit_cast<std::uint32_t>(full[r * p + j]) ==
+                               std::bit_cast<std::uint32_t>(yj[r]);
+          if (!same) ++mismatched;
+        }
+        EXPECT_EQ(mismatched, 0)
+            << kernel->format_name() << " on tier "
+            << kernels::simd::tier_name(tier) << " at p = " << p;
+      }
     }
   }
 }

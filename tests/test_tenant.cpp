@@ -346,19 +346,23 @@ TEST(Overlay, BitwiseParityWithStandaloneAcrossThreads) {
   ASSERT_FALSE(overlays.empty());
   for (const auto& o : overlays) EXPECT_TRUE(o->aliases_base_payload());
 
-  const Tensor x = random_sample(11, {4, 3, 8, 8});
   ThreadGuard guard;
-  Tensor first;
-  for (const int threads : {1, 2, 8}) {
-    kernels::set_num_threads(threads);
-    const Tensor got = overlay->run(x);
-    EXPECT_FLOAT_EQ(max_abs_diff(got, standalone->run(x)), 0.0f)
-        << "overlay diverged from standalone at " << threads << " threads";
-    if (threads == 1)
-      first = got;
-    else
-      EXPECT_FLOAT_EQ(max_abs_diff(first, got), 0.0f)
-          << "overlay output changed with the kernel thread count";
+  // Batches on both sides of the CRISP block kernels' p = 8 switch.
+  for (const std::int64_t batch : {1, 5, 8, 17}) {
+    SCOPED_TRACE(batch);
+    const Tensor x = random_sample(11, {batch, 3, 8, 8});
+    Tensor first;
+    for (const int threads : {1, 2, 8}) {
+      kernels::set_num_threads(threads);
+      const Tensor got = overlay->run(x);
+      EXPECT_FLOAT_EQ(max_abs_diff(got, standalone->run(x)), 0.0f)
+          << "overlay diverged from standalone at " << threads << " threads";
+      if (threads == 1)
+        first = got;
+      else
+        EXPECT_FLOAT_EQ(max_abs_diff(first, got), 0.0f)
+            << "overlay output changed with the kernel thread count";
+    }
   }
 }
 
@@ -375,15 +379,19 @@ TEST(Overlay, Int8ParityIncludesScaleOverrides) {
 
   auto overlay = compile_overlay_model(base, delta, factory);
   auto standalone = compile_standalone(*base, *delta, factory);
-  const Tensor x = random_sample(13, {5, 32});
-  EXPECT_FLOAT_EQ(max_abs_diff(overlay->run(x), standalone->run(x)), 0.0f);
-
-  // The overrides really bite: the same restriction without them serves
-  // different values.
   auto plain = std::make_shared<const MaskDelta>(
       tenant_delta(*base, factory, 0, 7));
   auto plain_overlay = compile_overlay_model(base, plain, factory);
-  EXPECT_GT(max_abs_diff(overlay->run(x), plain_overlay->run(x)), 0.0f);
+  // Batches on both sides of the CRISP block kernels' p = 8 switch.
+  for (const std::int64_t batch : {1, 5, 8, 17}) {
+    SCOPED_TRACE(batch);
+    const Tensor x = random_sample(13, {batch, 32});
+    EXPECT_FLOAT_EQ(max_abs_diff(overlay->run(x), standalone->run(x)), 0.0f);
+
+    // The overrides really bite: the same restriction without them serves
+    // different values.
+    EXPECT_GT(max_abs_diff(overlay->run(x), plain_overlay->run(x)), 0.0f);
+  }
 }
 
 TEST(Overlay, Fp32PathIgnoresScaleOverrides) {
